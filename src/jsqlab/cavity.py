@@ -312,6 +312,12 @@ class FixedPointControls:
             raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.noise_rel) and self.noise_rel >= 0.0):
+            raise ConfigError(f"noise_rel must be finite and >= 0, got {self.noise_rel}")
+        if not self.time_cap > 0.0:
+            raise ConfigError(f"time_cap must be positive, got {self.time_cap}")
+        if self.shards < 1:
+            raise ConfigError(f"shards must be >= 1, got {self.shards}")
         check_seed(self.seed)
 
 

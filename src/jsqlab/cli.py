@@ -24,7 +24,14 @@ from pathlib import Path
 from .cavity import DEFAULT_SHARDS, FixedPointControls, fixed_point
 from .errors import ConfigError
 from .fitting import MODELS, fit_tail
-from .network import NetworkConfig, conservation_audit, merge_estimates, pair_dependence, run_network, run_replication
+from .network import (
+    NetworkConfig,
+    check_pair_level,
+    conservation_audit,
+    merge_estimates,
+    pair_dependence,
+    run_replication,
+)
 from .service_dist import KINDS, ServiceDistributionSpec
 from .tails import write_tail_csv
 
@@ -71,6 +78,11 @@ def _merge(doc: dict, args, fields: dict) -> dict:
     return out
 
 
+def _out_path(out: Path, suffix: str) -> Path:
+    """``out`` plus a suffix, appended so dotted stems never collide."""
+    return out.parent / (out.name + suffix)
+
+
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
@@ -103,14 +115,16 @@ def cmd_simulate(args) -> int:
     if replications < 1:
         raise ConfigError(f"replications must be >= 1, got {replications}")
     config = NetworkConfig(service=service, **fields)
+    if pair_level is not None:
+        check_pair_level(config, pair_level)
 
     t0 = time.perf_counter()
-    jobs = [(config, i) for i in range(replications)]
+    jobs = [(config, i, pair_level) for i in range(replications)]
     if args.workers > 1 and replications > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             runs = list(pool.map(_replication_job, jobs))
     else:
-        runs = [run_replication(config, i) for i in range(replications)]
+        runs = [run_replication(config, i, pair_level) for i in range(replications)]
     for run in runs:
         conservation_audit(run)
     merged = merge_estimates(runs)
@@ -118,7 +132,8 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".csv")
+    csv_path = _out_path(out, ".csv")
+    json_path = _out_path(out, ".json")
     write_tail_csv(csv_path, merged)
     sidecar = {
         "config": {"mode": "network", **config.to_config(), "replications": replications,
@@ -129,12 +144,12 @@ def cmd_simulate(args) -> int:
         "arrivals": sum(r.arrivals for r in runs),
         "departures": sum(r.departures for r in runs),
     }
-    _write_json(out.with_suffix(".json"), sidecar)
-    written = [str(csv_path), str(out.with_suffix(".json"))]
+    _write_json(json_path, sidecar)
+    written = [str(csv_path), str(json_path)]
 
     if pair_level is not None:
-        dep = pair_dependence(config, int(pair_level))
-        pair_path = out.with_suffix(".pair.csv")
+        dep = pair_dependence(runs)
+        pair_path = _out_path(out, ".pair.csv")
         pair_path.write_text(
             "k,cov,ci_low,ci_high\n"
             f"{dep.level},{dep.cov!r},{(dep.cov - dep.ci)!r},{(dep.cov + dep.ci)!r}\n",
@@ -147,8 +162,7 @@ def cmd_simulate(args) -> int:
 
 
 def _replication_job(job):
-    config, index = job
-    return run_replication(config, index)
+    return run_replication(*job)
 
 
 def cmd_cavity(args) -> int:
@@ -189,14 +203,15 @@ def cmd_cavity(args) -> int:
                    **report.to_json_dict()["controls"]},
         **report.to_json_dict(),
     }
-    _write_json(out.with_suffix(".json"), payload)
-    csv_path = out.with_suffix(".csv")
+    json_path = _out_path(out, ".json")
+    _write_json(json_path, payload)
+    csv_path = _out_path(out, ".csv")
     if report.estimate is not None:
         write_tail_csv(csv_path, report.estimate)
         print(f"cavity: converged={report.converged} after {report.iterations} iteration(s); "
-              f"wrote {csv_path}, {out.with_suffix('.json')}")
+              f"wrote {csv_path}, {json_path}")
     else:
-        print(f"cavity: no iterations run (max_iter=0); wrote {out.with_suffix('.json')}")
+        print(f"cavity: no iterations run (max_iter=0); wrote {json_path}")
     return EXIT_OK
 
 

@@ -21,11 +21,9 @@ seeds can run on any pool and merge by averaging replication estimates.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
 import numpy as np
@@ -118,7 +116,8 @@ class NetworkRun:
     jobs_mean: float
     jobs_ci: float
     runtime_s: float
-    event_digest: str | None = None
+    pair_level: int | None = None
+    pair_batches: list = field(default_factory=list)  # (covariance, level-k occupancy) per batch
 
 
 @dataclass
@@ -150,212 +149,109 @@ def _t_half(values: np.ndarray, confidence: float = 0.95) -> float:
     return float(_sps.t.ppf(0.5 + confidence / 2.0, n - 1)) * s / math.sqrt(n)
 
 
-class _Engine:
-    """One simulation pass; collects per-batch occupancy integrals."""
+def check_pair_level(config: NetworkConfig, k) -> None:
+    """Reject a pair level the tracker cannot measure, before any simulation."""
+    if config.N < 2:
+        raise ConfigError("pair dependence needs at least two queues")
+    if not isinstance(k, int) or not (1 <= k <= config.k_max):
+        raise ConfigError(f"pair level must be an integer in [1, k_max={config.k_max}], got {k!r}")
 
-    def __init__(self, config: NetworkConfig, pair_level: int | None = None,
-                 relabel: list | None = None, digest: bool = False):
-        if pair_level is not None:
-            if config.N < 2:
-                raise ConfigError("pair dependence needs at least two queues")
-            if not (1 <= pair_level <= config.k_max):
-                raise ConfigError(f"pair level must lie in [1, k_max], got {pair_level}")
-        if relabel is not None:
-            if sorted(relabel) != list(range(config.N)):
-                raise ConfigError("relabel must be a permutation of range(N)")
-        self.config = config
-        self.pair_level = pair_level
-        self.relabel = list(relabel) if relabel is not None else None
-        self.digest = hashlib.blake2b(digest_size=16) if digest else None
 
-    def run(self):
-        cfg = self.config
-        N, D, alpha, k_max = cfg.N, cfg.D, cfg.alpha, cfg.k_max
-        horizon = cfg.horizon
-        nb = cfg.n_batches
-        rng = derive_stream(cfg.seed, 0)
-        draw = make_sampler(cfg.service)
-        rnd = rng.random
-        expovariate = rng.expovariate
-        relabel = self.relabel
-        pair_level = self.pair_level
-        digest = self.digest
-        pack = struct.Struct("<dBi").pack
+def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
+    """One simulation pass; collects per-batch occupancy integrals.
 
-        t_w = cfg.warmup_fraction * horizon
-        batch_dur = (horizon - t_w) / nb
-        boundaries = [t_w + j * batch_dur for j in range(nb + 1)]
-        boundaries[-1] = horizon
+    ``perm`` is the initial content of the persistent Fisher-Yates array;
+    sampling swaps positions only, so its content never changes the path.
+    """
+    N, D, alpha, k_max = cfg.N, cfg.D, cfg.alpha, cfg.k_max
+    horizon = cfg.horizon
+    nb = cfg.n_batches
+    rng = derive_stream(cfg.seed, 0)
+    draw = make_sampler(cfg.service)
+    rnd = rng.random
+    expovariate = rng.expovariate
+    pair_at = pair_level or 0  # level 0 never changes, so 0 disables the tracker
 
-        lengths = [0] * N
-        head_start = [0.0] * N  # service start of the head job (elapsed u = t - start)
-        perm = list(range(N))
-        heap: list = []
-        seq = 0
+    t_w = cfg.warmup_fraction * horizon
+    batch_dur = (horizon - t_w) / nb
+    boundaries = [t_w + j * batch_dur for j in range(nb + 1)]
+    boundaries[-1] = horizon
 
-        # per-level trackers (index 1..k_max); snapshots are taken at batch opens
-        c_cur = [0] * (k_max + 1)
-        c0 = [0] * (k_max + 1)
-        net = [0] * (k_max + 1)
-        sum_t = [0.0] * (k_max + 1)
-        level_batches = [[] for _ in range(k_max + 1)]  # per level: batch time-integrals
+    lengths = [0] * N
+    heap: list = []
+    seq = 0
 
-        jobs = 0
-        jobs0 = 0
+    # per-level trackers (index 1..k_max); snapshots are taken at batch opens
+    c_cur = [0] * (k_max + 1)
+    c0 = [0] * (k_max + 1)
+    net = [0] * (k_max + 1)
+    sum_t = [0.0] * (k_max + 1)
+    level_batches = [[] for _ in range(k_max + 1)]  # per level: batch time-integrals
+
+    jobs = 0
+    jobs0 = 0
+    jobs_net = 0
+    jobs_sum_t = 0.0
+    jobs_batches: list = []
+
+    # pair-product tracker: f = c*(c-1) at the pair level, where c is the
+    # level count; by exchangeability E[f]/(N*(N-1)) equals the indicator
+    # product E[X_i * X_j] for any two fixed queues i != j
+    cc0 = 0
+    cc_net = 0
+    cc_sum_t = 0.0
+    pair_batches: list = []
+
+    arrivals = 0
+    departures = 0
+    active = False
+    b_idx = 0  # next boundary to cross
+    rate_in = alpha * N
+    next_arrival = expovariate(rate_in) if rate_in > 0.0 else math.inf
+
+    wall0 = _time.perf_counter()
+
+    def open_batch():
+        # change trackers are already zero here: close_batch resets them,
+        # and before the first open nothing was recorded (active=False)
+        nonlocal jobs0, cc0
+        for j in range(1, k_max + 1):
+            c0[j] = c_cur[j]
+            net[j] = 0
+            sum_t[j] = 0.0
+        jobs0 = jobs
+        if pair_at:
+            c = c_cur[pair_at]
+            cc0 = c * (c - 1)
+
+    def close_batch(t0: float, t1: float):
+        nonlocal jobs_net, jobs_sum_t, cc_net, cc_sum_t
+        dur = t1 - t0
+        for j in range(1, k_max + 1):
+            level_batches[j].append(c0[j] * dur + net[j] * t1 - sum_t[j])
+        jobs_batches.append(jobs0 * dur + jobs_net * t1 - jobs_sum_t)
         jobs_net = 0
         jobs_sum_t = 0.0
-        jobs_batches: list = []
+        if pair_at:
+            ic = c0[pair_at] * dur + net[pair_at] * t1 - sum_t[pair_at]
+            icc = cc0 * dur + cc_net * t1 - cc_sum_t
+            pair_batches.append((ic, icc))
+            cc_net = 0
+            cc_sum_t = 0.0
 
-        # pair-product tracker: f = c*(c-1) at the pair level, where c is the
-        # level count; by exchangeability E[f]/(N*(N-1)) equals the indicator
-        # product E[X_i * X_j] for any two fixed queues i != j
-        cc0 = 0
-        cc_net = 0
-        cc_sum_t = 0.0
-        pair_batches: list = []
-
-        arrivals = 0
-        departures = 0
-        active = False
-        b_idx = 0  # next boundary to cross
-        rate_in = alpha * N
-        next_arrival = expovariate(rate_in) if rate_in > 0.0 else math.inf
-
-        wall0 = _time.perf_counter()
-
-        def open_batch():
-            # change trackers are already zero here: close_batch resets them,
-            # and before the first open nothing was recorded (active=False)
-            nonlocal jobs0, cc0
-            for j in range(1, k_max + 1):
-                c0[j] = c_cur[j]
-                net[j] = 0
-                sum_t[j] = 0.0
-            jobs0 = jobs
-            if pair_level is not None:
-                c = c_cur[pair_level]
-                cc0 = c * (c - 1)
-
-        def close_batch(t0: float, t1: float):
-            nonlocal jobs_net, jobs_sum_t, cc_net, cc_sum_t
-            dur = t1 - t0
-            for j in range(1, k_max + 1):
-                level_batches[j].append(c0[j] * dur + net[j] * t1 - sum_t[j])
-            jobs_batches.append(jobs0 * dur + jobs_net * t1 - jobs_sum_t)
-            jobs_net = 0
-            jobs_sum_t = 0.0
-            if pair_level is not None:
-                ic = c0[pair_level] * dur + net[pair_level] * t1 - sum_t[pair_level]
-                icc = cc0 * dur + cc_net * t1 - cc_sum_t
-                pair_batches.append((ic, icc))
-                cc_net = 0
-                cc_sum_t = 0.0
-
-        while True:
-            if heap and heap[0][0] <= next_arrival:
-                t, _, qi = heap[0]
-                is_arrival = False
-            else:
-                t = next_arrival
-                qi = -1
-                is_arrival = True
-            if t >= horizon:
-                break
-            # cross any batch boundaries before applying the event at t
-            while b_idx <= nb and t >= boundaries[b_idx]:
-                if b_idx == 0:
-                    active = True
-                    open_batch()
-                else:
-                    close_batch(boundaries[b_idx - 1], boundaries[b_idx])
-                    open_batch()
-                b_idx += 1
-
-            if is_arrival:
-                arrivals += 1
-                next_arrival = t + expovariate(rate_in)
-                # sample D distinct queues: partial Fisher-Yates on the persistent array
-                if D == 1:
-                    j = int(rnd() * N)
-                    chosen = perm[j]
-                else:
-                    for i in range(D):
-                        j = i + int(rnd() * (N - i))
-                        perm[i], perm[j] = perm[j], perm[i]
-                    chosen = perm[0]
-                    best = lengths[relabel[chosen] if relabel else chosen]
-                    ties = 1
-                    for i in range(1, D):
-                        q = perm[i]
-                        L = lengths[relabel[q] if relabel else q]
-                        if L < best:
-                            best = L
-                            chosen = q
-                            ties = 1
-                        elif L == best:
-                            ties += 1
-                    if ties > 1:
-                        pick = int(rnd() * ties)
-                        for i in range(D):
-                            q = perm[i]
-                            if (lengths[relabel[q] if relabel else q]) == best:
-                                if pick == 0:
-                                    chosen = q
-                                    break
-                                pick -= 1
-                if relabel:
-                    chosen = relabel[chosen]
-                z = lengths[chosen]
-                lengths[chosen] = z + 1
-                jobs += 1
-                if active:
-                    jobs_net += 1
-                    jobs_sum_t += t
-                lvl = z + 1
-                if lvl <= k_max:
-                    c_cur[lvl] += 1
-                    if active:
-                        net[lvl] += 1
-                        sum_t[lvl] += t
-                    if lvl == pair_level and active:
-                        df = 2 * (c_cur[lvl] - 1)  # c(c-1) jump when c gains one
-                        cc_net += df
-                        cc_sum_t += df * t
-                if z == 0:
-                    s = draw(rng)
-                    head_start[chosen] = t
-                    seq += 1
-                    heappush(heap, (t + s, seq, chosen))
-                if digest is not None:
-                    digest.update(pack(t, 1, chosen))
-            else:
-                heappop(heap)
-                departures += 1
-                z = lengths[qi]
-                lengths[qi] = z - 1
-                jobs -= 1
-                if active:
-                    jobs_net -= 1
-                    jobs_sum_t -= t
-                if z <= k_max:
-                    c_cur[z] -= 1
-                    if active:
-                        net[z] -= 1
-                        sum_t[z] -= t
-                    if z == pair_level and active:
-                        df = -2 * c_cur[z]  # c(c-1) jump when c drops one
-                        cc_net += df
-                        cc_sum_t += df * t
-                if z > 1:
-                    s = draw(rng)
-                    head_start[qi] = t
-                    seq += 1
-                    heappush(heap, (t + s, seq, qi))
-                if digest is not None:
-                    digest.update(pack(t, 2, qi))
-
-        # no events remain before the horizon: cross the remaining boundaries
-        while b_idx <= nb:
+    while True:
+        if heap and heap[0][0] <= next_arrival:
+            t, _, qi = heap[0]
+            is_arrival = False
+        else:
+            t = next_arrival
+            qi = -1
+            is_arrival = True
+        if t >= horizon:
+            break
+        # cross any batch boundaries before applying the event at t; t is
+        # below the last boundary (the horizon), so b_idx stays <= nb
+        while b_idx <= nb and t >= boundaries[b_idx]:
             if b_idx == 0:
                 active = True
                 open_batch()
@@ -364,29 +260,117 @@ class _Engine:
                 open_batch()
             b_idx += 1
 
-        runtime_s = _time.perf_counter() - wall0
-        return {
-            "level_batches": level_batches,
-            "jobs_batches": jobs_batches,
-            "pair_batches": pair_batches,
-            "batch_dur": batch_dur,
-            "arrivals": arrivals,
-            "departures": departures,
-            "lengths": lengths,
-            "c_cur": c_cur,
-            "runtime_s": runtime_s,
-            "digest": self.digest.hexdigest() if self.digest is not None else None,
-        }
+        if is_arrival:
+            arrivals += 1
+            next_arrival = t + expovariate(rate_in)
+            # sample D distinct queues: partial Fisher-Yates on the persistent array
+            if D == 1:
+                chosen = perm[int(rnd() * N)]
+            else:
+                for i in range(D):
+                    j = i + int(rnd() * (N - i))
+                    perm[i], perm[j] = perm[j], perm[i]
+                chosen = perm[0]
+                best = lengths[chosen]
+                ties = 1
+                for i in range(1, D):
+                    q = perm[i]
+                    L = lengths[q]
+                    if L < best:
+                        best = L
+                        chosen = q
+                        ties = 1
+                    elif L == best:
+                        ties += 1
+                if ties > 1:
+                    pick = int(rnd() * ties)
+                    for i in range(D):
+                        q = perm[i]
+                        if lengths[q] == best:
+                            if pick == 0:
+                                chosen = q
+                                break
+                            pick -= 1
+            z = lengths[chosen]
+            lengths[chosen] = z + 1
+            jobs += 1
+            if active:
+                jobs_net += 1
+                jobs_sum_t += t
+            lvl = z + 1
+            if lvl <= k_max:
+                c_cur[lvl] += 1
+                if active:
+                    net[lvl] += 1
+                    sum_t[lvl] += t
+                    if lvl == pair_at:
+                        df = 2 * (c_cur[lvl] - 1)  # c(c-1) jump when c gains one
+                        cc_net += df
+                        cc_sum_t += df * t
+            if z == 0:
+                seq += 1
+                heappush(heap, (t + draw(rng), seq, chosen))
+        else:
+            heappop(heap)
+            departures += 1
+            z = lengths[qi]
+            lengths[qi] = z - 1
+            jobs -= 1
+            if active:
+                jobs_net -= 1
+                jobs_sum_t -= t
+            if z <= k_max:
+                c_cur[z] -= 1
+                if active:
+                    net[z] -= 1
+                    sum_t[z] -= t
+                    if z == pair_at:
+                        df = -2 * c_cur[z]  # c(c-1) jump when c drops one
+                        cc_net += df
+                        cc_sum_t += df * t
+            if z > 1:
+                seq += 1
+                heappush(heap, (t + draw(rng), seq, qi))
+
+    # no events remain before the horizon: cross the remaining boundaries
+    while b_idx <= nb:
+        if b_idx == 0:
+            active = True
+            open_batch()
+        else:
+            close_batch(boundaries[b_idx - 1], boundaries[b_idx])
+            open_batch()
+        b_idx += 1
+
+    return {
+        "level_batches": level_batches,
+        "jobs_batches": jobs_batches,
+        "pair_batches": pair_batches,
+        "batch_dur": batch_dur,
+        "arrivals": arrivals,
+        "departures": departures,
+        "lengths": lengths,
+        "c_cur": c_cur,
+        "runtime_s": _time.perf_counter() - wall0,
+    }
 
 
-def run_network(config: NetworkConfig, *, relabel: list | None = None, digest: bool = False) -> NetworkRun:
+def run_network(config: NetworkConfig, *, relabel: list | None = None,
+                pair_level: int | None = None) -> NetworkRun:
     """Simulate the network and return the batch-means tail estimate.
 
-    ``relabel`` applies a fixed queue relabeling after sampling, an
-    exchangeability diagnostic: summary statistics must be unchanged.
-    ``digest`` additionally hashes the full event sequence (slow; test use).
+    ``relabel`` fills the sampling array with a fixed queue relabeling, so
+    every sampled queue is mapped through it; an exchangeability
+    diagnostic: summary statistics must be unchanged.
+    ``pair_level`` also tracks the two-queue covariance at that level in the
+    same pass (see ``pair_dependence``); it consumes no randomness.
     """
-    raw = _Engine(config, relabel=relabel, digest=digest).run()
+    if pair_level is not None:
+        check_pair_level(config, pair_level)
+    if relabel is not None and sorted(relabel) != list(range(config.N)):
+        raise ConfigError("relabel must be a permutation of range(N)")
+    perm = list(relabel) if relabel is not None else list(range(config.N))
+    raw = _simulate(config, pair_level, perm)
     N = config.N
     dur = raw["batch_dur"]
     p = [1.0]
@@ -406,6 +390,13 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None, digest: b
         max_level=max((j for j in range(1, config.k_max + 1) if raw["c_cur"][j] or p[j] > 0), default=0),
         meta={"n_batches": config.n_batches},
     )
+    # per batch: (indicator covariance, level-k occupancy) from the
+    # all-pairs identity E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2
+    pair_batches = []
+    for ic, icc in raw["pair_batches"]:
+        mean_c = ic / dur / N
+        mean_cc = icc / dur / (N * (N - 1))
+        pair_batches.append((mean_cc - mean_c * mean_c, mean_c))
     return NetworkRun(
         config=config,
         tail=tail,
@@ -416,40 +407,37 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None, digest: b
         jobs_mean=float(np.mean(jobs_vals)),
         jobs_ci=_t_half(jobs_vals),
         runtime_s=raw["runtime_s"],
-        event_digest=raw["digest"],
+        pair_level=pair_level,
+        pair_batches=pair_batches,
     )
 
 
-def pair_dependence(config: NetworkConfig, k: int) -> PairDependence:
+def pair_dependence(runs: list) -> PairDependence:
     """Time-averaged Cov(1{Z_1 >= k}, 1{Z_2 >= k}) for two fixed queues.
 
-    Queues are exchangeable, so the two-fixed-queue covariance equals the
-    all-pairs average, which the level counts c give directly:
-    E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2. Estimating through the counts uses
-    every pair at once, cutting the variance enough to resolve the
-    order-1/N covariances the independence prediction is about. Vanishing
-    covariance as N grows is that prediction; full-information selection
-    (D = N) makes the covariance negative.
+    Pools the batch covariances that runs made with ``pair_level=k`` tracked;
+    it does not simulate. Queues are exchangeable, so the two-fixed-queue
+    covariance equals the all-pairs average, which the level counts c give
+    directly: E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2. Estimating through the
+    counts uses every pair at once, cutting the variance enough to resolve
+    the order-1/N covariances the independence prediction is about.
+    Vanishing covariance as N grows is that prediction; full-information
+    selection (D = N) makes the covariance negative.
     """
-    raw = _Engine(config, pair_level=k).run()
-    dur = raw["batch_dur"]
-    N = config.N
-    covs = []
-    means = []
-    for ic, icc in raw["pair_batches"]:
-        mean_c = ic / dur / N
-        mean_cc = icc / dur / (N * (N - 1))
-        covs.append(mean_cc - mean_c * mean_c)
-        means.append(mean_c)
-    covs = np.asarray(covs)
-    m = float(np.mean(means))
+    if not runs:
+        raise ConfigError("no runs to pool")
+    levels = {r.pair_level for r in runs}
+    if len(levels) != 1 or None in levels:
+        raise ConfigError(f"runs must all track one pair level, got levels {sorted(levels, key=str)}")
+    covs = np.asarray([cov for r in runs for cov, _ in r.pair_batches])
+    m = float(np.mean([mean_c for r in runs for _, mean_c in r.pair_batches]))
     return PairDependence(
-        level=k,
+        level=levels.pop(),
         cov=float(np.mean(covs)),
         ci=_t_half(covs),
         mean_x=m,
         mean_y=m,
-        n_batches=config.n_batches,
+        n_batches=len(covs),
     )
 
 
@@ -484,20 +472,10 @@ def conservation_audit(run: NetworkRun) -> AuditReport:
     )
 
 
-def run_replication(config: NetworkConfig, replication: int) -> NetworkRun:
+def run_replication(config: NetworkConfig, replication: int, pair_level: int | None = None) -> NetworkRun:
     """Run one replication with the seed derived from (seed, replication)."""
-    cfg = NetworkConfig(
-        N=config.N,
-        D=config.D,
-        alpha=config.alpha,
-        service=config.service,
-        horizon=config.horizon,
-        warmup_fraction=config.warmup_fraction,
-        seed=derive_stream(config.seed, 1, replication).randrange(2**63),
-        k_max=config.k_max,
-        n_batches=config.n_batches,
-    )
-    return run_network(cfg)
+    cfg = replace(config, seed=derive_stream(config.seed, 1, replication).randrange(2**63))
+    return run_network(cfg, pair_level=pair_level)
 
 
 def merge_estimates(runs: list) -> TailEstimate:

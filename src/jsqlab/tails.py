@@ -10,7 +10,6 @@ deep levels (kept unclipped so the half-width is exactly recoverable).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,11 +133,3 @@ def read_tail_csv(path) -> list[tuple[int, float, float, float]]:
         rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
     return rows
 
-
-def halfwidths(rows) -> list[float]:
-    """Recover CI half-widths from (k, p, lo, hi) rows."""
-    out = []
-    for _, _, lo, hi in rows:
-        hw = 0.5 * (hi - lo)
-        out.append(hw if math.isfinite(hw) else math.inf)
-    return out

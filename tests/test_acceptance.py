@@ -255,8 +255,12 @@ def test_criterion_08_bound_recursion_asymptotics():
 
 
 def test_criterion_09_dependence_decays_with_system_size():
-    small = pair_dependence(NetworkConfig(N=50, D=2, alpha=0.5, service=EXP, horizon=40_000.0, seed=33), 1)
-    large = pair_dependence(NetworkConfig(N=500, D=2, alpha=0.5, service=EXP, horizon=20_000.0, seed=33), 1)
+    small = pair_dependence(
+        [run_network(NetworkConfig(N=50, D=2, alpha=0.5, service=EXP, horizon=40_000.0, seed=33), pair_level=1)]
+    )
+    large = pair_dependence(
+        [run_network(NetworkConfig(N=500, D=2, alpha=0.5, service=EXP, horizon=20_000.0, seed=33), pair_level=1)]
+    )
     assert abs(large.cov) < abs(small.cov)
     # decline resolved, not a noise artifact: the intervals are disjoint
     assert abs(large.cov) + large.ci < abs(small.cov) - small.ci

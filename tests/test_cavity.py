@@ -251,6 +251,23 @@ class TestFixedPoint:
         with pytest.raises(ConfigError):
             fixed_point(EXP, 0.5, 1)
 
+    @pytest.mark.parametrize("noise_rel", [-0.1, math.nan, math.inf])
+    def test_noise_rel_rejected(self, noise_rel):
+        # negative or non-finite: no level is ever monitored, so no run converges
+        with pytest.raises(ConfigError):
+            FixedPointControls(noise_rel=noise_rel)
+
+    @pytest.mark.parametrize("time_cap", [0.0, -1.0, math.nan])
+    def test_time_cap_rejected(self, time_cap):
+        # a non-positive cap aborts every cycle
+        with pytest.raises(ConfigError):
+            FixedPointControls(time_cap=time_cap)
+
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_shards_rejected(self, shards):
+        with pytest.raises(ConfigError):
+            FixedPointControls(shards=shards)
+
     def test_damped_update_is_geometric_mean(self):
         controls = FixedPointControls(k_max=6, cycles_per_iter=4000, seed=5, max_iter=1, damping=0.5)
         rep = fixed_point(EXP, 0.5, 2, controls)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from jsqlab import NetworkConfig, make_spec, pair_dependence, run_replication
 from jsqlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from jsqlab.tails import read_tail_csv
 
@@ -62,6 +63,36 @@ class TestSimulate:
         text = (tmp_path / "pair.pair.csv").read_text()
         assert text.startswith("k,cov,ci_low,ci_high\n")
 
+    @pytest.mark.parametrize("extra", [
+        ["--pair-level", "0"],
+        ["--pair-level", "65"],  # above the default k_max
+        ["--pair-level", "1", "--n-queues", "1", "--d-choices", "1"],
+    ])
+    def test_bad_pair_level_exits_before_any_work(self, tmp_path, extra):
+        out = tmp_path / "sub" / "bad"
+        assert main(SIM_ARGS + extra + ["--out", str(out)]) == EXIT_CONFIG
+        assert not (tmp_path / "sub").exists()
+
+    def test_pair_csv_pools_replications_at_any_worker_count(self, tmp_path):
+        args = SIM_ARGS + ["--pair-level", "1", "--replications", "3", "--horizon", "120"]
+        assert main(args + ["--workers", "1", "--out", str(tmp_path / "w1")]) == EXIT_OK
+        assert main(args + ["--workers", "2", "--out", str(tmp_path / "w2")]) == EXIT_OK
+        assert (tmp_path / "w1.pair.csv").read_bytes() == (tmp_path / "w2.pair.csv").read_bytes()
+        cfg = NetworkConfig(N=20, D=2, alpha=0.5, service=make_spec("exponential"), horizon=120.0, seed=4)
+        dep = pair_dependence([run_replication(cfg, i, pair_level=1) for i in range(3)])
+        assert dep.n_batches == 3 * cfg.n_batches
+        _, row = (tmp_path / "w1.pair.csv").read_text().splitlines()
+        assert row == f"1,{dep.cov!r},{(dep.cov - dep.ci)!r},{(dep.cov + dep.ci)!r}"
+
+    def test_dotted_stems_do_not_collide(self, tmp_path):
+        for alpha in ("0.5", "0.7"):
+            args = ["simulate", "--n-queues", "10", "--d-choices", "2", "--alpha", alpha,
+                    "--service", "exponential", "--horizon", "60", "--seed", "2"]
+            assert main(args + ["--out", str(tmp_path / f"alpha{alpha}")]) == EXIT_OK
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["alpha0.5.csv", "alpha0.5.json", "alpha0.7.csv", "alpha0.7.json"]
+        assert json.loads((tmp_path / "alpha0.7.json").read_text())["config"]["alpha"] == 0.7
+
     def test_rerun_from_sidecar_reproduces_csv(self, tmp_path):
         out = tmp_path / "orig"
         assert main(SIM_ARGS + ["--out", str(out)]) == EXIT_OK
@@ -115,6 +146,20 @@ class TestCavity:
         rc = main(["cavity", "--d-choices", "1", "--alpha", "0.5", "--service", "exponential",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", [["--noise-rel", "-0.1"], ["--noise-rel", "nan"], ["--shards", "0"]])
+    def test_bad_controls_exit_before_any_work(self, tmp_path, flag):
+        out = tmp_path / "sub" / "bad"
+        assert main(CAV_ARGS + flag + ["--out", str(out)]) == EXIT_CONFIG
+        assert not (tmp_path / "sub").exists()
+
+    def test_dotted_stems_do_not_collide(self, tmp_path):
+        args = ["cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential",
+                "--k-max", "8", "--cycles", "2000", "--max-iter", "1", "--seed", "3"]
+        assert main(args + ["--out", str(tmp_path / "run0.5")]) == EXIT_OK
+        assert main(args + ["--out", str(tmp_path / "run0.7")]) == EXIT_OK
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["run0.5.csv", "run0.5.json", "run0.7.csv", "run0.7.json"]
 
 
 class TestPredict:

@@ -1,12 +1,14 @@
 """Network simulator: oracles, audits, exchangeability, determinism."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jsqlab import network
 from jsqlab import (
     AuditFailure,
     ConfigError,
@@ -26,6 +28,41 @@ def small_config(**kw):
     base = dict(N=20, D=2, alpha=0.5, service=EXP, horizon=300.0, seed=8, k_max=16)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+class RecordingRandom(random.Random):
+    """A stream that logs every uniform it hands out.
+
+    Every variate the engine draws (arrival gaps, queue samples, tie splits,
+    service times) comes from ``random()``, so the log is the full input of
+    the event sequence.
+    """
+
+    def __init__(self, state):
+        super().__init__()
+        self.setstate(state)
+        self.log = []
+
+    def random(self):
+        u = super().random()
+        self.log.append(u)
+        return u
+
+
+def recorded_run(monkeypatch, config):
+    """Run the network on a logging copy of its stream; return (log, run)."""
+    streams = []
+    derive = network.derive_stream
+
+    def recording_stream(base_seed, *key):
+        streams.append(RecordingRandom(derive(base_seed, *key).getstate()))
+        return streams[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "derive_stream", recording_stream)
+        run = run_network(config)
+    assert len(streams) == 1
+    return streams[0].log, run
 
 
 def jsq2_ctmc_cov(alpha: float, level: int, cap: int = 30) -> float:
@@ -116,17 +153,18 @@ class TestRunNetwork:
         for k in range(run.tail.k_max):
             assert run.tail.p[k] >= run.tail.p[k + 1]
 
-    def test_deterministic_event_sequence(self):
-        a = run_network(small_config(), digest=True)
-        b = run_network(small_config(), digest=True)
-        assert a.event_digest == b.event_digest
+    def test_deterministic_event_sequence(self, monkeypatch):
+        log_a, a = recorded_run(monkeypatch, small_config())
+        log_b, b = recorded_run(monkeypatch, small_config())
+        assert log_a and log_a == log_b
+        assert a.lengths_end == b.lengths_end
         assert a.tail.p == b.tail.p
         assert a.tail.ci == b.tail.ci
 
-    def test_different_seed_changes_sequence(self):
-        a = run_network(small_config(), digest=True)
-        b = run_network(small_config(seed=9), digest=True)
-        assert a.event_digest != b.event_digest
+    def test_different_seed_changes_sequence(self, monkeypatch):
+        log_a, _ = recorded_run(monkeypatch, small_config())
+        log_b, _ = recorded_run(monkeypatch, small_config(seed=9))
+        assert log_a != log_b
 
     def test_exchangeability_under_relabeling(self):
         # relabeling queues maps the sample path through a permutation, so
@@ -137,6 +175,15 @@ class TestRunNetwork:
         assert relabeled.tail.p == base.tail.p
         assert relabeled.tail.ci == base.tail.ci
         assert sorted(relabeled.lengths_end) == sorted(base.lengths_end)
+
+    def test_relabel_maps_every_queue(self):
+        # queue relabel[q] of the relabeled run lives the path of queue q
+        perm = [int(x) for x in np.random.default_rng(7).permutation(20)]
+        for D in (1, 2, 3):
+            base = run_network(small_config(D=D, horizon=150.0))
+            relabeled = run_network(small_config(D=D, horizon=150.0), relabel=perm)
+            assert base.lengths_end != relabeled.lengths_end
+            assert [relabeled.lengths_end[perm[q]] for q in range(20)] == base.lengths_end
 
     def test_bad_relabel_rejected(self):
         with pytest.raises(ConfigError):
@@ -158,22 +205,48 @@ class TestRunNetwork:
 
 class TestPairDependence:
     def test_empty_process_zero_covariance(self):
-        dep = pair_dependence(small_config(alpha=0.0, horizon=50.0), 1)
+        dep = pair_dependence([run_network(small_config(alpha=0.0, horizon=50.0), pair_level=1)])
         assert dep.cov == 0.0
         assert dep.ci == 0.0
+
+    def test_tracker_leaves_tail_unchanged(self):
+        base = run_network(small_config())
+        tracked = run_network(small_config(), pair_level=1)
+        assert tracked.tail == base.tail
+        assert tracked.lengths_end == base.lengths_end
+        assert len(tracked.pair_batches) == small_config().n_batches
 
     def test_full_information_matches_ctmc(self):
         # N = D = 2: every arrival sees both queues; the exact chain is small
         oracle = jsq2_ctmc_cov(0.3, 1)
         cfg = NetworkConfig(N=2, D=2, alpha=0.3, service=EXP, horizon=120_000.0, seed=9, k_max=8)
-        dep = pair_dependence(cfg, 1)
+        dep = pair_dependence([run_network(cfg, pair_level=1)])
         assert abs(dep.cov - oracle) <= 4 * dep.ci
 
     def test_level_validation(self):
         with pytest.raises(ConfigError):
-            pair_dependence(small_config(), 0)
+            run_network(small_config(), pair_level=0)
         with pytest.raises(ConfigError):
-            pair_dependence(NetworkConfig(N=1, D=1, alpha=0.3, service=EXP, horizon=10.0), 1)
+            run_network(small_config(), pair_level=17)  # above k_max
+        with pytest.raises(ConfigError):
+            run_network(NetworkConfig(N=1, D=1, alpha=0.3, service=EXP, horizon=10.0), pair_level=1)
+
+    def test_pooling_needs_tracked_runs(self):
+        with pytest.raises(ConfigError):
+            pair_dependence([])
+        with pytest.raises(ConfigError):
+            pair_dependence([run_network(small_config(horizon=50.0))])
+        cfg = small_config(horizon=50.0)
+        with pytest.raises(ConfigError):
+            pair_dependence([run_network(cfg, pair_level=1), run_network(cfg, pair_level=2)])
+
+    def test_pools_replications(self):
+        cfg = small_config(horizon=150.0)
+        runs = [run_replication(cfg, i, pair_level=1) for i in range(3)]
+        dep = pair_dependence(runs)
+        assert dep.n_batches == 3 * cfg.n_batches
+        covs = [cov for r in runs for cov, _ in r.pair_batches]
+        assert dep.cov == pytest.approx(float(np.mean(covs)), rel=1e-12)
 
 
 class TestReplications:
