@@ -46,7 +46,7 @@ from .network import (
     run_network,
     run_replication,
 )
-from .service_dist import KINDS, ServiceDistributionSpec, cdf, log_tail, make_sampler, make_spec, sample, tail
+from .service_dist import KINDS, ServiceDistributionSpec, cdf, log_tail, make_sampler, make_spec, tail
 from .tails import TailEstimate, TailVector, read_tail_csv, write_tail_csv
 
 __version__ = "0.1.0"

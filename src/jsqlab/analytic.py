@@ -65,11 +65,6 @@ class RecursionParams:
         if self.ell == 1 and self.eta == 0.0:
             raise ConfigError("the window (ell=1, eta=0) is empty; ell=1 requires eta > 0")
 
-    @property
-    def prop_beta(self) -> float:
-        """Window-level exponent ell + eta - 1 (the service tail exponent minus 1)."""
-        return self.ell + self.eta - 1.0
-
     def supercritical(self) -> bool:
         """Whether the characteristic root lies in (1/D, 1), i.e. h(1) > 0."""
         return (self.D - 1) * (self.ell - 1 + self.eta) > 1.0

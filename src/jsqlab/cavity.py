@@ -24,7 +24,7 @@ results, and stats merge by summation. Iterations are strictly sequential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats as _sps
@@ -135,6 +135,17 @@ def simulate_cycles(
     _check_alpha_d(alpha, D)
     if n_cycles < 1:
         raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
+    return _excursions(env, service_spec, alpha, D, n_cycles, rng, time_cap)
+
+
+def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -> CycleStats:
+    """The excursion kernel behind simulate_cycles and measure_return_time.
+
+    start = 0 runs regeneration cycles: the idle wait, then the busy period
+    its arrival starts. start = k >= 1 runs drains from level k whose job in
+    service has residual s (a fresh draw when s = 0); their time counts from
+    0 and their occupations accumulate like a cycle's.
+    """
     k_max = env.k_max
     rates, rate_beyond = _rate_table(env, alpha, D)
     draw = make_sampler(service_spec)
@@ -145,14 +156,18 @@ def simulate_cycles(
     v = stats.v
     v2 = stats.v2
     vt = stats.vt
-    v_at = [0.0] * 256  # time at exactly level z within the current cycle
+    v_at = [0.0] * max(256, start + 1)  # time at exactly level z within the current cycle
     inf = math.inf
 
-    for _ in range(n_cycles):
-        t = expovariate(rates[0])  # idle wait; rates[0] > 0 since p[0] = 1
-        z = 1
-        max_z = 1
-        s_rem = draw(rng)
+    for _ in range(n):
+        if start:
+            t = 0.0
+            z = max_z = start
+            s_rem = s if s > 0.0 else draw(rng)
+        else:
+            t = expovariate(rates[0])  # idle wait; rates[0] > 0 since p[0] = 1
+            z = max_z = 1
+            s_rem = draw(rng)
         aborted = False
         while z:
             rate = rates[z] if z <= k_max else rate_beyond
@@ -334,7 +349,6 @@ class FixedPointReport:
     max_level: int = 0
 
     def to_json_dict(self) -> dict:
-        c = self.controls
         return {
             "p": list(self.env.p),
             "ci": list(self.estimate.ci) if self.estimate is not None else None,
@@ -342,17 +356,7 @@ class FixedPointReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "max_level": self.max_level,
-            "controls": {
-                "k_max": c.k_max,
-                "cycles_per_iter": c.cycles_per_iter,
-                "damping": c.damping,
-                "tol": c.tol,
-                "max_iter": c.max_iter,
-                "seed": c.seed,
-                "noise_rel": c.noise_rel,
-                "time_cap": c.time_cap,
-                "shards": c.shards,
-            },
+            "controls": asdict(self.controls),
         }
 
 
@@ -475,35 +479,10 @@ def measure_return_time(
         raise ConfigError(f"residual s must be >= 0, got {s}")
     if n_reps < 2:
         raise ConfigError(f"n_reps must be >= 2, got {n_reps}")
-    k_max = env.k_max
-    rates, rate_beyond = _rate_table(env, alpha, D)
-    draw = make_sampler(service_spec)
-    expovariate = rng.expovariate
-    inf = math.inf
-
-    total = 0.0
-    total2 = 0.0
-    for _ in range(n_reps):
-        t = 0.0
-        z = k
-        s_rem = s if s > 0.0 else draw(rng)
-        while z:
-            rate = rates[z] if z <= k_max else rate_beyond
-            t_arr = expovariate(rate) if rate > 0.0 else inf
-            if t_arr < s_rem:
-                t += t_arr
-                s_rem -= t_arr
-                z += 1
-            else:
-                t += s_rem
-                z -= 1
-                if z:
-                    s_rem = draw(rng)
-            if t > time_cap:
-                raise CycleRunawayError(f"return-time excursion exceeded the cap {time_cap}")
-        total += t
-        total2 += t * t
-    mean = total / n_reps
-    var = max(total2 - n_reps * mean * mean, 0.0) / (n_reps - 1)
+    stats = _excursions(env, service_spec, alpha, D, n_reps, rng, time_cap, start=k, s=s)
+    if stats.n_aborted:
+        raise CycleRunawayError(f"{stats.n_aborted} return-time excursion(s) exceeded the cap {time_cap}")
+    mean = stats.total_time / n_reps
+    var = max(stats.t2 - n_reps * mean * mean, 0.0) / (n_reps - 1)
     half = _sps.norm.ppf(0.975) * math.sqrt(var / n_reps)
     return mean, half

@@ -1,11 +1,12 @@
 """Command-line orchestration: simulate, cavity, predict, fit.
 
-Experiment configs are JSON documents; flags mirror the document fields and
-override them. Every run writes a config echo sufficient to reproduce it
-(``--config`` also accepts a previously written sidecar). Exit codes: 0 for
-success including statistical non-convergence, 2 for configuration errors,
-3 for runtime or IO failures, so studies can tell "wrong input" from "needs
-more cycles".
+Experiment configs are JSON documents read into the config dataclasses;
+flags mirror the document fields and override them, and an unknown key or a
+wrongly typed value is a configuration error. Every run writes a config echo
+sufficient to reproduce it (``--config`` also accepts a previously written
+sidecar). Exit codes: 0 for success including statistical non-convergence,
+2 for configuration errors, 3 for runtime or IO failures, so studies can
+tell "wrong input" from "needs more cycles".
 
 Replications (simulate) and shards (cavity) run in parallel up to
 ``--workers``; randomness is derived from the base seed by fixed keys, so
@@ -19,9 +20,11 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .cavity import DEFAULT_SHARDS, FixedPointControls, fixed_point
+from .cavity import FixedPointControls, fixed_point
+from .config import read_config
 from .errors import ConfigError
 from .fitting import MODELS, fit_tail
 from .network import (
@@ -54,28 +57,37 @@ def _load_config_doc(path: str) -> dict:
     return doc
 
 
-def _service_from(doc: dict, args) -> ServiceDistributionSpec:
-    if args.service is not None:
-        return ServiceDistributionSpec(args.service, args.beta)
-    if "service" in doc:
-        return ServiceDistributionSpec.from_config(doc["service"])
-    raise ConfigError("a service distribution is required (--service or config file)")
+@dataclass(frozen=True)
+class SimulateExtras:
+    """Keys of a simulate document beside the NetworkConfig fields."""
+
+    replications: int = 1
+    pair_level: int | None = None
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ConfigError(f"replications must be >= 1, got {self.replications}")
 
 
-def _merge(doc: dict, args, fields: dict) -> dict:
-    """Config-file values overridden by any explicitly supplied flags."""
-    out = {}
-    for name, default in fields.items():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            out[name] = flag
-        elif name in doc:
-            out[name] = doc[name]
-        elif default is not ...:
-            out[name] = default
-        else:
-            raise ConfigError(f"missing required field {name!r}")
-    return out
+@dataclass(frozen=True)
+class CavityPoint:
+    """Keys of a cavity document beside the FixedPointControls fields."""
+
+    D: int
+    alpha: float
+    service: ServiceDistributionSpec
+
+
+def _read_run_config(args, mode: str, *classes) -> list:
+    """The run's dataclasses from ``--config`` with the supplied flags laid over it."""
+    doc = _load_config_doc(args.config) if args.config else {}
+    got = doc.pop("mode", mode)
+    if got != mode:
+        raise ConfigError(f"{args.command} expects a mode={mode} config, got mode={got!r}")
+    if args.service is None and args.beta is not None:
+        raise ConfigError("--beta needs --service; a document's service is not amended flag by flag")
+    service = None if args.service is None else ServiceDistributionSpec(args.service, args.beta)
+    return read_config(doc, {**vars(args), "service": service}, *classes)
 
 
 def _out_path(out: Path, suffix: str) -> Path:
@@ -90,31 +102,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_config_doc(args.config) if args.config else {}
-    if doc.get("mode", "network") != "network":
-        raise ConfigError(f"simulate expects a mode=network config, got mode={doc.get('mode')!r}")
-    service = _service_from(doc, args)
-    fields = _merge(
-        doc,
-        args,
-        {
-            "N": ...,
-            "D": ...,
-            "alpha": ...,
-            "horizon": ...,
-            "warmup_fraction": 0.2,
-            "k_max": 64,
-            "n_batches": 20,
-            "seed": 0,
-            "replications": 1,
-            "pair_level": None,
-        },
-    )
-    replications = int(fields.pop("replications"))
-    pair_level = fields.pop("pair_level")
-    if replications < 1:
-        raise ConfigError(f"replications must be >= 1, got {replications}")
-    config = NetworkConfig(service=service, **fields)
+    config, extras = _read_run_config(args, "network", NetworkConfig, SimulateExtras)
+    pair_level, replications = extras.pair_level, extras.replications
     if pair_level is not None:
         check_pair_level(config, pair_level)
 
@@ -136,8 +125,7 @@ def cmd_simulate(args) -> int:
     json_path = _out_path(out, ".json")
     write_tail_csv(csv_path, merged)
     sidecar = {
-        "config": {"mode": "network", **config.to_config(), "replications": replications,
-                   "pair_level": pair_level},
+        "config": {"mode": "network", **config.to_config(), **asdict(extras)},
         "seed": config.seed,
         "runtime": runtime,
         "batches": config.n_batches,
@@ -166,29 +154,8 @@ def _replication_job(job):
 
 
 def cmd_cavity(args) -> int:
-    doc = _load_config_doc(args.config) if args.config else {}
-    if doc.get("mode", "cavity") != "cavity":
-        raise ConfigError(f"cavity expects a mode=cavity config, got mode={doc.get('mode')!r}")
-    service = _service_from(doc, args)
-    fields = _merge(
-        doc,
-        args,
-        {
-            "D": ...,
-            "alpha": ...,
-            "k_max": 64,
-            "cycles_per_iter": 100_000,
-            "tol": 0.05,
-            "damping": 1.0,
-            "max_iter": 25,
-            "seed": 0,
-            "noise_rel": 0.2,
-            "shards": DEFAULT_SHARDS,
-        },
-    )
-    D = int(fields.pop("D"))
-    alpha = float(fields.pop("alpha"))
-    controls = FixedPointControls(**fields)
+    point, controls = _read_run_config(args, "cavity", CavityPoint, FixedPointControls)
+    service, alpha, D = point.service, point.alpha, point.D
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -198,10 +165,10 @@ def cmd_cavity(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    result = report.to_json_dict()
     payload = {
-        "config": {"mode": "cavity", "D": D, "alpha": alpha, "service": service.to_config(),
-                   **report.to_json_dict()["controls"]},
-        **report.to_json_dict(),
+        "config": {"mode": "cavity", **asdict(point), "service": service.to_config(), **result["controls"]},
+        **result,
     }
     json_path = _out_path(out, ".json")
     _write_json(json_path, payload)
@@ -259,14 +226,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    fit = fit_tail(
-        args.csv,
-        args.model,
-        d_choices=args.D,
-        rel_ci_max=args.rel_ci_max,
-        k_min=args.k_min,
-        k_max=args.k_max,
-    )
+    supplied = ("d_choices", "rel_ci_max", "k_min", "k_max")
+    fit = fit_tail(args.csv, args.model,
+                   **{k: getattr(args, k) for k in supplied if getattr(args, k) is not None})
     payload = json.dumps(fit.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8", newline="\n")
@@ -284,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config (or a sidecar from an earlier run)")
         p.add_argument("--service", choices=KINDS, help="service distribution kind")
         p.add_argument("--beta", type=float, help="tail exponent for lomax/pareto")
-        p.add_argument("--seed", type=int, help="base seed (default 0)")
+        p.add_argument("--seed", type=int, help="base seed")
         p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
         p.add_argument("--out", required=True, help="output path stem")
 
@@ -328,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a tail model to a results CSV")
     p.add_argument("csv")
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--d-choices", dest="D", type=int, default=2)
-    p.add_argument("--rel-ci-max", dest="rel_ci_max", type=float, default=0.3)
+    p.add_argument("--d-choices", dest="d_choices", type=int)
+    p.add_argument("--rel-ci-max", dest="rel_ci_max", type=float)
     p.add_argument("--k-min", dest="k_min", type=int)
     p.add_argument("--k-max", dest="k_max", type=int)
     p.add_argument("--out")

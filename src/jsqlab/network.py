@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 
 import numpy as np
 from scipy import stats as _sps
 
+from .config import read_config
 from .errors import AuditFailure, ConfigError
 from .seeding import check_seed, derive_stream
 from .service_dist import ServiceDistributionSpec, make_sampler
@@ -75,32 +76,11 @@ class NetworkConfig:
         check_seed(self.seed)
 
     def to_config(self) -> dict:
-        return {
-            "N": self.N,
-            "D": self.D,
-            "alpha": self.alpha,
-            "service": self.service.to_config(),
-            "horizon": self.horizon,
-            "warmup_fraction": self.warmup_fraction,
-            "seed": self.seed,
-            "k_max": self.k_max,
-            "n_batches": self.n_batches,
-        }
+        return {**asdict(self), "service": self.service.to_config()}
 
     @classmethod
     def from_config(cls, doc: dict) -> "NetworkConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"network config must be a document, got {doc!r}")
-        known = {"N", "D", "alpha", "service", "horizon", "warmup_fraction", "seed", "k_max", "n_batches"}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown network config fields {sorted(extra)}")
-        missing = {"N", "D", "alpha", "service", "horizon"} - set(doc)
-        if missing:
-            raise ConfigError(f"network config missing fields {sorted(missing)}")
-        kwargs = dict(doc)
-        kwargs["service"] = ServiceDistributionSpec.from_config(doc["service"])
-        return cls(**kwargs)
+        return read_config(doc, {}, cls)[0]
 
 
 @dataclass
@@ -138,7 +118,6 @@ class AuditReport:
     departures: int
     in_system: int
     levels_checked: int
-    ok: bool = True
 
 
 def _t_half(values: np.ndarray, confidence: float = 0.95) -> float:

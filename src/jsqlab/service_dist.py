@@ -93,9 +93,6 @@ class ServiceDistributionSpec:
         """Whether the hazard rate is nonincreasing on all of [0, inf)."""
         return self.kind in ("exponential", "lomax")
 
-    def mean(self) -> float:
-        return 1.0
-
     def to_config(self) -> dict:
         doc = {"kind": self.kind}
         if self.beta is not None:
@@ -192,8 +189,3 @@ def make_sampler(spec: ServiceDistributionSpec) -> Callable:
             return 2.0 * rng.random()
 
     return draw
-
-
-def sample(spec: ServiceDistributionSpec, rng) -> float:
-    """One service-time draw from the stream (see make_sampler)."""
-    return make_sampler(spec)(rng)

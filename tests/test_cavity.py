@@ -289,6 +289,16 @@ class TestReturnTime:
         mean, _ = measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, 1e-9, 100, random.Random(1))
         assert mean == pytest.approx(1e-9, abs=1e-12)
 
+    def test_start_above_initial_level_buffer_drains(self):
+        # no arrivals above empty: residual 0.5 plus k-1 fresh mean-1 services
+        k = 300
+        mean, half = measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, k, 0.5, 400, random.Random(8))
+        assert abs(mean - (k - 0.5)) <= 3 * half
+
+    def test_time_cap_raises(self):
+        with pytest.raises(CycleRunawayError):
+            measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 3, 0.5, 10, random.Random(1), time_cap=1e-4)
+
     def test_preconditions(self):
         with pytest.raises(ConfigError):
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 0, 0.5, 10, random.Random(1))

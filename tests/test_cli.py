@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import MISSING, asdict, fields
 
 import pytest
 
-from jsqlab import NetworkConfig, make_spec, pair_dependence, run_replication
+from jsqlab import FixedPointControls, NetworkConfig, make_spec, pair_dependence, run_replication
 from jsqlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from jsqlab.tails import read_tail_csv
 
@@ -17,6 +18,77 @@ CAV_ARGS = [
     "cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential",
     "--k-max", "12", "--cycles", "15000", "--seed", "3",
 ]
+NET_DOC = {"mode": "network", "N": 10, "D": 2, "alpha": 0.5, "service": {"kind": "exponential"},
+           "horizon": 60, "seed": 2}
+CAV_DOC = {"mode": "cavity", "D": 2, "alpha": 0.5, "service": {"kind": "exponential"},
+           "k_max": 8, "cycles_per_iter": 2000, "max_iter": 1, "seed": 3}
+
+
+def run_doc(tmp_path, command, doc, out, *flags):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main([command, "--config", str(path), *flags, "--out", str(out)])
+
+
+class TestConfigDocuments:
+    def test_clean_documents_run(self, tmp_path):
+        assert run_doc(tmp_path, "simulate", NET_DOC, tmp_path / "net") == EXIT_OK
+        assert run_doc(tmp_path, "cavity", CAV_DOC, tmp_path / "cav") == EXIT_OK
+
+    @pytest.mark.parametrize("command, base, key, value", [
+        ("simulate", NET_DOC, "n_batch", 40),  # misspelt n_batches
+        ("cavity", CAV_DOC, "cycles", 2000),  # the flag name, not the field name
+        ("simulate", NET_DOC, "horizon", "60"),
+        ("cavity", CAV_DOC, "D", 2.5),
+        ("cavity", CAV_DOC, "alpha", "0.5"),
+        ("cavity", CAV_DOC, "max_iter", True),
+        ("simulate", NET_DOC, "replications", "2"),
+        ("simulate", NET_DOC, "pair_level", 1.5),
+        ("simulate", NET_DOC, "k_max", None),
+    ])
+    def test_bad_document_exits_before_any_work(self, tmp_path, capsys, command, base, key, value):
+        out = tmp_path / "sub" / "bad"
+        assert run_doc(tmp_path, command, {**base, key: value}, out) == EXIT_CONFIG
+        assert not (tmp_path / "sub").exists()
+        assert key in capsys.readouterr().err
+
+    def test_beta_flag_without_service_flag_is_rejected(self, tmp_path):
+        doc = {**CAV_DOC, "service": {"kind": "lomax", "beta": 1.4}}
+        assert run_doc(tmp_path, "cavity", doc, tmp_path / "sub" / "x", "--beta", "3.0") == EXIT_CONFIG
+        assert not (tmp_path / "sub").exists()
+
+    def test_missing_required_field_is_named(self, tmp_path, capsys):
+        doc = {k: v for k, v in CAV_DOC.items() if k != "service"}
+        assert run_doc(tmp_path, "cavity", doc, tmp_path / "x") == EXIT_CONFIG
+        assert "'service'" in capsys.readouterr().err
+
+    def test_simulate_echoes_network_config_defaults(self, tmp_path):
+        assert main(SIM_ARGS + ["--horizon", "60", "--out", str(tmp_path / "net")]) == EXIT_OK
+        echo = json.loads((tmp_path / "net.json").read_text())["config"]
+        defaults = {f.name: f.default for f in fields(NetworkConfig) if f.default is not MISSING and f.name != "seed"}
+        assert defaults and {k: echo[k] for k in defaults} == defaults
+        assert echo["replications"] == 1 and echo["pair_level"] is None
+
+    def test_cavity_echoes_fixed_point_control_defaults(self, tmp_path):
+        args = ["cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential", "--seed", "3"]
+        assert main(args + ["--out", str(tmp_path / "cav")]) == EXIT_OK
+        sidecar = json.loads((tmp_path / "cav.json").read_text())
+        assert sidecar["controls"] == asdict(FixedPointControls(seed=3))
+        assert {k: sidecar["config"][k] for k in sidecar["controls"]} == sidecar["controls"]
+
+    def test_rerun_from_cavity_sidecar_reproduces_outputs(self, tmp_path):
+        args = ["cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential",
+                "--k-max", "8", "--cycles", "3000", "--max-iter", "2", "--noise-rel", "0.2", "--seed", "5"]
+        assert main(args + ["--out", str(tmp_path / "orig")]) == EXIT_OK
+        rc = main(["cavity", "--config", str(tmp_path / "orig.json"), "--out", str(tmp_path / "rerun")])
+        assert rc == EXIT_OK
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / ("orig" + suffix)).read_bytes() == (tmp_path / ("rerun" + suffix)).read_bytes()
+
+    def test_flags_override_document(self, tmp_path):
+        assert run_doc(tmp_path, "simulate", NET_DOC, tmp_path / "flag", "--seed", "9", "--batches", "4") == EXIT_OK
+        echo = json.loads((tmp_path / "flag.json").read_text())["config"]
+        assert (echo["seed"], echo["n_batches"], echo["horizon"]) == (9, 4, 60.0)
 
 
 class TestSimulate:
@@ -212,6 +284,25 @@ class TestFit:
         csv.write_text("k,p,ci_low,ci_high\n0,1.0,1.0,1.0\n1,0.5,0.4,0.6\n")
         rc = main(["fit", str(csv), "--model", "exponential"])
         assert rc == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("flags, passed", [
+        ([], {}),
+        (["--d-choices", "3", "--k-min", "2"], {"d_choices": 3, "k_min": 2}),
+    ])
+    def test_passes_only_supplied_flags(self, monkeypatch, capsys, flags, passed):
+        calls = []
+
+        class Fit:
+            def to_json_dict(self):
+                return {}
+
+        def fake_fit_tail(source, model, **kwargs):
+            calls.append(kwargs)
+            return Fit()
+
+        monkeypatch.setattr("jsqlab.cli.fit_tail", fake_fit_tail)
+        assert main(["fit", "any.csv", "--model", "exponential"] + flags) == EXIT_OK
+        assert calls == [passed]
 
     def test_missing_file_is_config_error(self, tmp_path):
         rc = main(["fit", str(tmp_path / "nope.csv"), "--model", "exponential"])

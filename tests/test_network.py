@@ -126,6 +126,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NetworkConfig.from_config(doc)
 
+    @pytest.mark.parametrize("key, value", [("horizon", "60"), ("N", 20.5), ("k_max", True), ("service", "exponential")])
+    def test_from_config_rejects_wrong_types(self, key, value):
+        doc = {**small_config().to_config(), key: value}
+        with pytest.raises(ConfigError, match=key):
+            NetworkConfig.from_config(doc)
+
 
 class TestRunNetwork:
     def test_empty_arrival_process(self):
