@@ -20,7 +20,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .cavity import FixedPointControls, fixed_point
@@ -78,12 +78,28 @@ class CavityPoint:
     service: ServiceDistributionSpec
 
 
-def _read_run_config(args, mode: str, *classes) -> list:
-    """The run's dataclasses from ``--config`` with the supplied flags laid over it."""
+@dataclass(frozen=True)
+class PredictConfig:
+    """Keys of a predict (mode=analytic) document."""
+
+    D: int
+    betas: list = field(default_factory=list)
+    c1: float | None = None
+    c2: float | None = None
+
+
+def _read_doc(args, mode: str) -> dict:
+    """The ``--config`` document (empty without one), checked for ``mode`` and stripped of it."""
     doc = _load_config_doc(args.config) if args.config else {}
     got = doc.pop("mode", mode)
     if got != mode:
         raise ConfigError(f"{args.command} expects a mode={mode} config, got mode={got!r}")
+    return doc
+
+
+def _read_run_config(args, mode: str, *classes) -> list:
+    """The run's dataclasses from ``--config`` with the supplied flags laid over it."""
+    doc = _read_doc(args, mode)
     if args.service is None and args.beta is not None:
         raise ConfigError("--beta needs --service; a document's service is not amended flag by flag")
     service = None if args.service is None else ServiceDistributionSpec(args.service, args.beta)
@@ -182,10 +198,9 @@ def cmd_cavity(args) -> int:
     return EXIT_OK
 
 
-def _parse_betas(args, doc: dict) -> list:
-    betas = list(args.beta or [])
-    if not betas and "betas" in doc:
-        betas = [float(b) for b in doc["betas"]]
+def _parse_betas(args, betas: list) -> list:
+    """``betas`` followed by the ``--beta-grid`` points."""
+    betas = list(betas)
     if args.beta_grid:
         try:
             lo, hi, step = (float(x) for x in args.beta_grid.split(":"))
@@ -205,17 +220,10 @@ def _parse_betas(args, doc: dict) -> list:
 def cmd_predict(args) -> int:
     from .analytic import classify_regime
 
-    doc = _load_config_doc(args.config) if args.config else {}
-    if doc and doc.get("mode", "analytic") != "analytic":
-        raise ConfigError(f"predict expects a mode=analytic config, got mode={doc.get('mode')!r}")
-    D = args.D if args.D is not None else doc.get("D")
-    if D is None:
-        raise ConfigError("predict needs --d-choices (or D in the config)")
-    c1 = args.c1 if args.c1 is not None else doc.get("c1")
-    c2 = args.c2 if args.c2 is not None else doc.get("c2")
+    (cfg,) = read_config(_read_doc(args, "analytic"), {**vars(args), "betas": args.beta}, PredictConfig)
     rows = ["D,beta,regime,exponent"]
-    for beta in _parse_betas(args, doc):
-        rows.append(classify_regime(int(D), beta, c1, c2).row())
+    for beta in _parse_betas(args, cfg.betas):
+        rows.append(classify_regime(cfg.D, beta, cfg.c1, cfg.c2).row())
     table = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8", newline="\n")

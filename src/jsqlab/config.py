@@ -30,6 +30,13 @@ def _as_float(name: str, value):
     return float(value)
 
 
+def _as_list(name: str, value):
+    """A JSON array of numbers; each entry is checked like a ``float`` field."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_as_float(f"{name}[{i}]", v) for i, v in enumerate(value)]
+
+
 def _as_service(name: str, value):
     if isinstance(value, ServiceDistributionSpec):
         return value
@@ -37,7 +44,7 @@ def _as_service(name: str, value):
 
 
 # keyed by field annotation; the config classes use no other field types
-_CONVERT = {"int": _as_int, "float": _as_float, "ServiceDistributionSpec": _as_service}
+_CONVERT = {"int": _as_int, "float": _as_float, "list": _as_list, "ServiceDistributionSpec": _as_service}
 
 
 def _typed(field, value):
@@ -67,7 +74,7 @@ def read_config(doc: dict, flags: dict, *classes) -> list:
                 kwargs[f.name] = _typed(f, flags[f.name])
             elif f.name in doc:
                 kwargs[f.name] = _typed(f, doc[f.name])
-            elif f.default is MISSING:
+            elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"missing required field {f.name!r}")
         out.append(cls(**kwargs))
     return out

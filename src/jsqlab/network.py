@@ -9,11 +9,15 @@ completion is scheduled only when a queue turns busy or a successor starts
 service. Calendar ties are broken by a monotone sequence counter, making the
 event sequence a deterministic function of (config, seed).
 
-Per-level occupancy c[j] = #{queues with length >= j} changes at exactly one
-level per event, so time averages are accumulated in O(1) per event: within
-each batch, integral = c0*(t1-t0) + net*t1 - sum_of_signed_change_times.
-Estimates are batch means over the post-warmup window with Student-t
-intervals.
+The horizon is cut into windows: window 0 is the warm-up [0, t_w) and
+windows 1..n_batches tile [t_w, horizon]. The event loop runs once per
+window and stops at the first event at or past the window's end, which is
+left for the next window. Per-level occupancy c[j] = #{queues with length
+>= j} changes at exactly one level per event, so each window's time
+integrals are accumulated in O(1) per event as
+integral = c0*(t1-t0) + net*t1 - sum_of_signed_change_times. At a window's
+end a batch keeps its integrals and the warm-up's are dropped. Estimates are
+batch means with Student-t intervals.
 
 A single run is strictly single-threaded; replications with distinct derived
 seeds can run on any pool and merge by averaging replication estimates.
@@ -93,8 +97,9 @@ class NetworkRun:
     departures: int
     lengths_end: list
     c_end: list  # incremental level counters at the end, index 1..k_max
-    jobs_mean: float
+    jobs_mean: float  # mean of min(Z, k_max) per queue over the batches
     jobs_ci: float
+    beyond_k_max: int  # measured arrivals that took a queue past k_max
     runtime_s: float
     pair_level: int | None = None
     pair_batches: list = field(default_factory=list)  # (covariance, level-k occupancy) per batch
@@ -108,7 +113,6 @@ class PairDependence:
     cov: float
     ci: float
     mean_x: float
-    mean_y: float
     n_batches: int
 
 
@@ -117,7 +121,6 @@ class AuditReport:
     arrivals: int
     departures: int
     in_system: int
-    levels_checked: int
 
 
 def _t_half(values: np.ndarray, confidence: float = 0.95) -> float:
@@ -126,6 +129,18 @@ def _t_half(values: np.ndarray, confidence: float = 0.95) -> float:
         return 0.0
     s = float(np.std(values, ddof=1))
     return float(_sps.t.ppf(0.5 + confidence / 2.0, n - 1)) * s / math.sqrt(n)
+
+
+def _level_means(samples) -> tuple[list, list, bool]:
+    """Level 0 (1 ± 0), then one level per sample row: mean and t half-width; p clipped monotone."""
+    p = [1.0]
+    ci = [0.0]
+    for vals in samples:
+        vals = np.asarray(vals)
+        p.append(float(np.mean(vals)))
+        ci.append(_t_half(vals))
+    p, clipped = enforce_monotone(p)
+    return p, ci, clipped
 
 
 def check_pair_level(config: NetworkConfig, k) -> None:
@@ -143,7 +158,6 @@ def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
     sampling swaps positions only, so its content never changes the path.
     """
     N, D, alpha, k_max = cfg.N, cfg.D, cfg.alpha, cfg.k_max
-    horizon = cfg.horizon
     nb = cfg.n_batches
     rng = derive_stream(cfg.seed, 0)
     draw = make_sampler(cfg.service)
@@ -151,183 +165,127 @@ def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
     expovariate = rng.expovariate
     pair_at = pair_level or 0  # level 0 never changes, so 0 disables the tracker
 
-    t_w = cfg.warmup_fraction * horizon
-    batch_dur = (horizon - t_w) / nb
-    boundaries = [t_w + j * batch_dur for j in range(nb + 1)]
-    boundaries[-1] = horizon
+    # window b ends at ends[b]: window 0 is the warm-up, 1..nb the batches
+    t_w = cfg.warmup_fraction * cfg.horizon
+    batch_dur = (cfg.horizon - t_w) / nb
+    ends = [t_w + j * batch_dur for j in range(nb + 1)]
+    ends[-1] = cfg.horizon
 
     lengths = [0] * N
     heap: list = []
     seq = 0
 
-    # per-level trackers (index 1..k_max); snapshots are taken at batch opens
-    c_cur = [0] * (k_max + 1)
-    c0 = [0] * (k_max + 1)
-    net = [0] * (k_max + 1)
-    sum_t = [0.0] * (k_max + 1)
+    c_cur = [0] * (k_max + 1)  # level counts, index 1..k_max
     level_batches = [[] for _ in range(k_max + 1)]  # per level: batch time-integrals
-
-    jobs = 0
-    jobs0 = 0
-    jobs_net = 0
-    jobs_sum_t = 0.0
-    jobs_batches: list = []
-
-    # pair-product tracker: f = c*(c-1) at the pair level, where c is the
-    # level count; by exchangeability E[f]/(N*(N-1)) equals the indicator
-    # product E[X_i * X_j] for any two fixed queues i != j
-    cc0 = 0
-    cc_net = 0
-    cc_sum_t = 0.0
     pair_batches: list = []
 
     arrivals = 0
     departures = 0
-    active = False
-    b_idx = 0  # next boundary to cross
+    beyond = 0  # arrivals that took a queue past k_max
     rate_in = alpha * N
     next_arrival = expovariate(rate_in) if rate_in > 0.0 else math.inf
 
     wall0 = _time.perf_counter()
 
-    def open_batch():
-        # change trackers are already zero here: close_batch resets them,
-        # and before the first open nothing was recorded (active=False)
-        nonlocal jobs0, cc0
-        for j in range(1, k_max + 1):
-            c0[j] = c_cur[j]
-            net[j] = 0
-            sum_t[j] = 0.0
-        jobs0 = jobs
-        if pair_at:
-            c = c_cur[pair_at]
-            cc0 = c * (c - 1)
-
-    def close_batch(t0: float, t1: float):
-        nonlocal jobs_net, jobs_sum_t, cc_net, cc_sum_t
-        dur = t1 - t0
-        for j in range(1, k_max + 1):
-            level_batches[j].append(c0[j] * dur + net[j] * t1 - sum_t[j])
-        jobs_batches.append(jobs0 * dur + jobs_net * t1 - jobs_sum_t)
-        jobs_net = 0
-        jobs_sum_t = 0.0
-        if pair_at:
-            ic = c0[pair_at] * dur + net[pair_at] * t1 - sum_t[pair_at]
-            icc = cc0 * dur + cc_net * t1 - cc_sum_t
-            pair_batches.append((ic, icc))
-            cc_net = 0
-            cc_sum_t = 0.0
-
-    while True:
-        if heap and heap[0][0] <= next_arrival:
-            t, _, qi = heap[0]
-            is_arrival = False
-        else:
-            t = next_arrival
-            qi = -1
-            is_arrival = True
-        if t >= horizon:
-            break
-        # cross any batch boundaries before applying the event at t; t is
-        # below the last boundary (the horizon), so b_idx stays <= nb
-        while b_idx <= nb and t >= boundaries[b_idx]:
-            if b_idx == 0:
-                active = True
-                open_batch()
-            else:
-                close_batch(boundaries[b_idx - 1], boundaries[b_idx])
-                open_batch()
-            b_idx += 1
-
-        if is_arrival:
-            arrivals += 1
-            next_arrival = t + expovariate(rate_in)
-            # sample D distinct queues: partial Fisher-Yates on the persistent array
-            if D == 1:
-                chosen = perm[int(rnd() * N)]
-            else:
-                for i in range(D):
-                    j = i + int(rnd() * (N - i))
-                    perm[i], perm[j] = perm[j], perm[i]
-                chosen = perm[0]
-                best = lengths[chosen]
-                ties = 1
-                for i in range(1, D):
-                    q = perm[i]
-                    L = lengths[q]
-                    if L < best:
-                        best = L
-                        chosen = q
-                        ties = 1
-                    elif L == best:
-                        ties += 1
-                if ties > 1:
-                    pick = int(rnd() * ties)
-                    for i in range(D):
-                        q = perm[i]
-                        if lengths[q] == best:
-                            if pick == 0:
-                                chosen = q
-                                break
-                            pick -= 1
-            z = lengths[chosen]
-            lengths[chosen] = z + 1
-            jobs += 1
-            if active:
-                jobs_net += 1
-                jobs_sum_t += t
-            lvl = z + 1
-            if lvl <= k_max:
-                c_cur[lvl] += 1
-                if active:
-                    net[lvl] += 1
-                    sum_t[lvl] += t
-                    if lvl == pair_at:
-                        df = 2 * (c_cur[lvl] - 1)  # c(c-1) jump when c gains one
-                        cc_net += df
-                        cc_sum_t += df * t
-            if z == 0:
-                seq += 1
-                heappush(heap, (t + draw(rng), seq, chosen))
-        else:
-            heappop(heap)
-            departures += 1
-            z = lengths[qi]
-            lengths[qi] = z - 1
-            jobs -= 1
-            if active:
-                jobs_net -= 1
-                jobs_sum_t -= t
-            if z <= k_max:
-                c_cur[z] -= 1
-                if active:
+    for b, t1 in enumerate(ends):
+        # open the window: change trackers start from the current counts
+        c0 = c_cur[:]
+        net = [0] * (k_max + 1)
+        sum_t = [0.0] * (k_max + 1)
+        # pair-product tracker: f = c*(c-1) at the pair level, where c is the
+        # level count; by exchangeability E[f]/(N*(N-1)) equals the indicator
+        # product E[X_i * X_j] for any two fixed queues i != j
+        cc0 = c_cur[pair_at] * (c_cur[pair_at] - 1)
+        cc_net = 0
+        cc_sum_t = 0.0
+        while True:
+            if heap and heap[0][0] <= next_arrival:
+                t, _, qi = heap[0]
+                if t >= t1:
+                    break
+                heappop(heap)
+                departures += 1
+                z = lengths[qi]
+                lengths[qi] = z - 1
+                if z <= k_max:
+                    c_cur[z] -= 1
                     net[z] -= 1
                     sum_t[z] -= t
                     if z == pair_at:
                         df = -2 * c_cur[z]  # c(c-1) jump when c drops one
                         cc_net += df
                         cc_sum_t += df * t
-            if z > 1:
-                seq += 1
-                heappush(heap, (t + draw(rng), seq, qi))
+                if z > 1:
+                    seq += 1
+                    heappush(heap, (t + draw(rng), seq, qi))
+            else:
+                t = next_arrival
+                if t >= t1:
+                    break
+                arrivals += 1
+                next_arrival = t + expovariate(rate_in)
+                # sample D distinct queues: partial Fisher-Yates on the persistent array
+                if D == 1:
+                    chosen = perm[int(rnd() * N)]
+                else:
+                    for i in range(D):
+                        j = i + int(rnd() * (N - i))
+                        perm[i], perm[j] = perm[j], perm[i]
+                    chosen = perm[0]
+                    best = lengths[chosen]
+                    ties = 1
+                    for i in range(1, D):
+                        q = perm[i]
+                        L = lengths[q]
+                        if L < best:
+                            best = L
+                            chosen = q
+                            ties = 1
+                        elif L == best:
+                            ties += 1
+                    if ties > 1:
+                        pick = int(rnd() * ties)
+                        for i in range(D):
+                            q = perm[i]
+                            if lengths[q] == best:
+                                if pick == 0:
+                                    chosen = q
+                                    break
+                                pick -= 1
+                z = lengths[chosen]
+                lengths[chosen] = z + 1
+                lvl = z + 1
+                if lvl <= k_max:
+                    c_cur[lvl] += 1
+                    net[lvl] += 1
+                    sum_t[lvl] += t
+                    if lvl == pair_at:
+                        df = 2 * (c_cur[lvl] - 1)  # c(c-1) jump when c gains one
+                        cc_net += df
+                        cc_sum_t += df * t
+                else:
+                    beyond += 1
+                if z == 0:
+                    seq += 1
+                    heappush(heap, (t + draw(rng), seq, chosen))
 
-    # no events remain before the horizon: cross the remaining boundaries
-    while b_idx <= nb:
-        if b_idx == 0:
-            active = True
-            open_batch()
+        # close the window: a batch keeps its integrals, the warm-up drops them
+        if b:
+            dur = t1 - ends[b - 1]
+            for j in range(1, k_max + 1):
+                level_batches[j].append(c0[j] * dur + net[j] * t1 - sum_t[j])
+            if pair_at:
+                pair_batches.append((level_batches[pair_at][-1], cc0 * dur + cc_net * t1 - cc_sum_t))
         else:
-            close_batch(boundaries[b_idx - 1], boundaries[b_idx])
-            open_batch()
-        b_idx += 1
+            beyond = 0
 
     return {
         "level_batches": level_batches,
-        "jobs_batches": jobs_batches,
         "pair_batches": pair_batches,
         "batch_dur": batch_dur,
         "arrivals": arrivals,
         "departures": departures,
+        "beyond_k_max": beyond,
         "lengths": lengths,
         "c_cur": c_cur,
         "runtime_s": _time.perf_counter() - wall0,
@@ -352,14 +310,10 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
     raw = _simulate(config, pair_level, perm)
     N = config.N
     dur = raw["batch_dur"]
-    p = [1.0]
-    ci = [0.0]
-    for j in range(1, config.k_max + 1):
-        vals = np.asarray(raw["level_batches"][j]) / (dur * N)
-        p.append(float(np.mean(vals)))
-        ci.append(_t_half(vals))
-    p, clipped = enforce_monotone(p)
-    jobs_vals = np.asarray(raw["jobs_batches"]) / (dur * N)
+    levels = np.asarray(raw["level_batches"][1:]) / (dur * N)  # row j-1: level j per batch
+    p, ci, clipped = _level_means(levels)
+    # sum over levels 1..k_max of the level occupancy is min(Z, k_max) per queue
+    jobs_vals = levels.sum(axis=0)
     tail = TailEstimate(
         p=p,
         ci=ci,
@@ -385,6 +339,7 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
         c_end=raw["c_cur"],
         jobs_mean=float(np.mean(jobs_vals)),
         jobs_ci=_t_half(jobs_vals),
+        beyond_k_max=raw["beyond_k_max"],
         runtime_s=raw["runtime_s"],
         pair_level=pair_level,
         pair_batches=pair_batches,
@@ -415,7 +370,6 @@ def pair_dependence(runs: list) -> PairDependence:
         cov=float(np.mean(covs)),
         ci=_t_half(covs),
         mean_x=m,
-        mean_y=m,
         n_batches=len(covs),
     )
 
@@ -447,7 +401,6 @@ def conservation_audit(run: NetworkRun) -> AuditReport:
         arrivals=run.arrivals,
         departures=run.departures,
         in_system=in_system,
-        levels_checked=k_max,
     )
 
 
@@ -463,14 +416,7 @@ def merge_estimates(runs: list) -> TailEstimate:
         raise ConfigError("no replications to merge")
     if len(runs) == 1:
         return runs[0].tail
-    k_max = runs[0].config.k_max
-    p = [1.0]
-    ci = [0.0]
-    for j in range(1, k_max + 1):
-        vals = np.asarray([r.tail.p[j] for r in runs])
-        p.append(float(np.mean(vals)))
-        ci.append(_t_half(vals))
-    p, clipped = enforce_monotone(p)
+    p, ci, clipped = _level_means(zip(*(r.tail.p[1:] for r in runs)))
     return TailEstimate(
         p=p,
         ci=ci,

@@ -96,9 +96,6 @@ class TailEstimate:
     def k_max(self) -> int:
         return len(self.p) - 1
 
-    def as_vector(self) -> TailVector:
-        return TailVector(tuple(self.p))
-
 
 def enforce_monotone(p: list) -> tuple[list, bool]:
     """Clip a probability sequence to be nonincreasing (cumulative minimum)."""

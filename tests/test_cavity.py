@@ -163,7 +163,7 @@ class TestTailFromCycles:
     def test_output_is_valid_tail_vector(self):
         env = TailVector.geometric(0.5, 12)
         est = tail_from_cycles(simulate_cycles(env, EXP, 0.6, 2, 5000, random.Random(4)))
-        vec = est.as_vector()
+        vec = TailVector(tuple(est.p))
         assert vec.p[0] == 1.0
         for k in range(vec.k_max):
             assert vec.p[k] >= vec.p[k + 1]

@@ -264,6 +264,30 @@ class TestPredict:
     def test_invalid_beta(self):
         assert main(["predict", "--d-choices", "2", "--beta", "0.5"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"D": 2.5}, "D"),
+        ({"D": 2.5, "typo": 1}, "typo"),
+        ({"betas": "3"}, "betas"),
+        ({"betas": [True]}, "betas"),
+    ])
+    def test_bad_document_exits_before_writing(self, tmp_path, capsys, extra, key):
+        cfg = tmp_path / "analytic.json"
+        cfg.write_text(json.dumps({"mode": "analytic", "D": 2, "betas": [3.0], **extra}))
+        out = tmp_path / "table.csv"
+        assert main(["predict", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_flags_over_document(self, tmp_path, capsys):
+        cfg = tmp_path / "analytic.json"
+        cfg.write_text(json.dumps({"mode": "analytic", "D": 2, "betas": [3.0], "c1": 2.0, "c2": 1.0}))
+        assert main(["predict", "--config", str(cfg)]) == EXIT_CONFIG  # c1 > c2
+        capsys.readouterr()
+        flags = ["--d-choices", "3", "--beta", "1.4", "--beta-grid", "2.5:2.5:1", "--c2", "4"]
+        assert main(["predict", "--config", str(cfg), *flags]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["3", "1.4"], ["3", "2.5"]]
+
 
 class TestFit:
     def test_fit_cavity_output(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +254,34 @@ class TestPairDependence:
         assert dep.n_batches == 3 * cfg.n_batches
         covs = [cov for r in runs for cov, _ in r.pair_batches]
         assert dep.cov == pytest.approx(float(np.mean(covs)), rel=1e-12)
+
+
+class TestWindows:
+    """Window 0 is the warm-up; windows 1..n_batches tile [t_w, horizon]."""
+
+    def test_batch_count_does_not_change_the_tail(self):
+        # batching draws no randomness and equal batches average to the
+        # whole measured window, so only rounding separates the two
+        two = run_network(small_config(n_batches=2))
+        five = run_network(small_config(n_batches=5))
+        assert five.tail.p == pytest.approx(two.tail.p, rel=1e-9)
+        assert five.lengths_end == two.lengths_end
+
+    def test_beyond_k_max_counts_only_measured_arrivals(self):
+        assert run_network(small_config(alpha=0.0, horizon=50.0)).beyond_k_max == 0
+        cfg = small_config(D=1, k_max=1, horizon=200.0)
+        whole = run_network(replace(cfg, warmup_fraction=0.0)).beyond_k_max
+        # the path does not depend on the windows, so [0, 100) and
+        # [100, 200) split the count of the whole horizon
+        first = run_network(replace(cfg, warmup_fraction=0.0, horizon=100.0)).beyond_k_max
+        second = run_network(replace(cfg, warmup_fraction=0.5)).beyond_k_max
+        assert first > 0 and second > 0
+        assert whole == first + second
+
+    def test_jobs_mean_sums_the_levels(self):
+        run = run_network(small_config())
+        assert run.beyond_k_max == 0 and not run.tail.clipped
+        assert run.jobs_mean == pytest.approx(sum(run.tail.p[1:]), rel=1e-12)
 
 
 class TestReplications:
