@@ -218,37 +218,32 @@ def gamma_exponent(D: int, beta: float) -> float:
 class RegimeReport:
     """Classification of (D, beta) with the predicted tail exponent, if any.
 
-    For the boundary regime no numeric exponent exists: only the qualitative
-    monotonicity of the rate constants is known (the decay rate grows without
-    bound as the upper tail constant c2 shrinks to 0, and shrinks to 0 as the
-    lower constant c1 grows), so the constants are echoed back untouched.
+    For the boundary regime no numeric exponent exists: the decay rate
+    depends on the service law's tail constants, which the paper bounds only
+    qualitatively, so its exponent is None.
     """
 
     D: int
     beta: float
     regime: str
     exponent: float | None
-    c1: float | None = None
-    c2: float | None = None
 
     def row(self) -> str:
         e = "" if self.exponent is None else repr(self.exponent)
         return f"{self.D},{self.beta!r},{self.regime},{e}"
 
 
-def classify_regime(D: int, beta: float, c1: float | None = None, c2: float | None = None) -> RegimeReport:
+def classify_regime(D: int, beta: float) -> RegimeReport:
     """Trichotomy in beta vs D/(D-1): doubly-exponential / power-law / boundary."""
     _check_d(D)
     if not beta > 1.0:
         raise ConfigError(f"beta must exceed 1 (infinite mean otherwise), got {beta}")
-    if c1 is not None and c2 is not None and not (0.0 < c1 <= c2):
-        raise ConfigError(f"tail constants need 0 < c1 <= c2, got c1={c1}, c2={c2}")
     b = boundary_beta(D)
     if abs(beta - b) <= BOUNDARY_EPS:
-        return RegimeReport(D, beta, REGIME_BOUNDARY, None, c1, c2)
+        return RegimeReport(D, beta, REGIME_BOUNDARY, None)
     if beta > b:
-        return RegimeReport(D, beta, REGIME_DOUBLY, q_of_beta(D, beta), c1, c2)
-    return RegimeReport(D, beta, REGIME_POWER, gamma_exponent(D, beta), c1, c2)
+        return RegimeReport(D, beta, REGIME_DOUBLY, q_of_beta(D, beta))
+    return RegimeReport(D, beta, REGIME_POWER, gamma_exponent(D, beta))
 
 
 @dataclass(frozen=True)

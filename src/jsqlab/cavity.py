@@ -27,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import ndtri
 
 from .errors import ConfigError, CycleRunawayError
 from .seeding import check_seed, derive_stream
@@ -109,13 +109,6 @@ class CycleStats:
         return self
 
 
-def _rate_table(env: TailVector, alpha: float, D: int) -> tuple[list, float]:
-    rates = [effective_arrival_rate(env, z, alpha, D) for z in range(env.k_max + 1)]
-    ext = env.extrapolation
-    beyond = alpha if D == 1 else (0.0 if ext <= 0.0 else alpha * D * ext ** (D - 1))
-    return rates, beyond
-
-
 def simulate_cycles(
     env: TailVector,
     service_spec: ServiceDistributionSpec,
@@ -147,7 +140,8 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     0 and their occupations accumulate like a cycle's.
     """
     k_max = env.k_max
-    rates, rate_beyond = _rate_table(env, alpha, D)
+    rates = [effective_arrival_rate(env, z, alpha, D) for z in range(k_max + 2)]
+    rate_beyond = rates.pop()  # every level above k_max: alpha at D = 1, else 0
     draw = make_sampler(service_spec)
     expovariate = rng.expovariate
 
@@ -253,8 +247,8 @@ def _run_shard(job) -> CycleStats:
     return simulate_cycles(env, spec, alpha, D, n, rng, time_cap=cap)
 
 
-def tail_from_cycles(stats: CycleStats, confidence: float = 0.95) -> TailEstimate:
-    """Ratio estimator p[k] = sum V_k / sum nu with delta-method intervals.
+def tail_from_cycles(stats: CycleStats) -> TailEstimate:
+    """Ratio estimator p[k] = sum V_k / sum nu with delta-method 95% intervals.
 
     For a level never visited, the interval is [0, upper] with the
     rule-of-three visit bound scaled by the worst-case cycle contribution:
@@ -270,7 +264,7 @@ def tail_from_cycles(stats: CycleStats, confidence: float = 0.95) -> TailEstimat
         raise ConfigError(f"need at least 2 completed cycles, got {stats.n_cycles}")
     n = stats.n_cycles
     mean_nu = stats.total_time / n
-    z = _sps.norm.ppf(0.5 + confidence / 2.0)
+    z = ndtri(0.975)
     p = [1.0]
     ci = [0.0]
     three_bound = 3.0 / n * (stats.nu_max / mean_nu)
@@ -287,15 +281,7 @@ def tail_from_cycles(stats: CycleStats, confidence: float = 0.95) -> TailEstimat
         p.append(min(r, 1.0))
         ci.append(half)
     p, clipped = enforce_monotone(p)
-    return TailEstimate(
-        p=p,
-        ci=ci,
-        measurement_time=stats.total_time,
-        method="regenerative",
-        clipped=clipped,
-        max_level=stats.max_level,
-        meta={"n_cycles": n},
-    )
+    return TailEstimate(p=p, ci=ci, clipped=clipped)
 
 
 @dataclass(frozen=True)
@@ -484,5 +470,5 @@ def measure_return_time(
         raise CycleRunawayError(f"{stats.n_aborted} return-time excursion(s) exceeded the cap {time_cap}")
     mean = stats.total_time / n_reps
     var = max(stats.t2 - n_reps * mean * mean, 0.0) / (n_reps - 1)
-    half = _sps.norm.ppf(0.975) * math.sqrt(var / n_reps)
+    half = ndtri(0.975) * math.sqrt(var / n_reps)
     return mean, half

@@ -9,8 +9,9 @@ sidecar). Exit codes: 0 for success including statistical non-convergence,
 tell "wrong input" from "needs more cycles".
 
 Replications (simulate) and shards (cavity) run in parallel up to
-``--workers``; randomness is derived from the base seed by fixed keys, so
-the worker count never changes any output.
+``--workers`` (at least 1, and never more processes than jobs); randomness
+is derived from the base seed by fixed keys, so the worker count never
+changes any output.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -84,8 +86,6 @@ class PredictConfig:
 
     D: int
     betas: list = field(default_factory=list)
-    c1: float | None = None
-    c2: float | None = None
 
 
 def _read_doc(args, mode: str) -> dict:
@@ -106,6 +106,19 @@ def _read_run_config(args, mode: str, *classes) -> list:
     return read_config(doc, {**vars(args), "service": service}, *classes)
 
 
+@contextmanager
+def _mapper(workers: int, jobs: int):
+    """``map`` in this process, or a pool's ``map`` with no more processes than ``jobs``."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    n = min(workers, jobs)
+    if n <= 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            yield pool.map
+
+
 def _out_path(out: Path, suffix: str) -> Path:
     """``out`` plus a suffix, appended so dotted stems never collide."""
     return out.parent / (out.name + suffix)
@@ -124,12 +137,8 @@ def cmd_simulate(args) -> int:
         check_pair_level(config, pair_level)
 
     t0 = time.perf_counter()
-    jobs = [(config, i, pair_level) for i in range(replications)]
-    if args.workers > 1 and replications > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            runs = list(pool.map(_replication_job, jobs))
-    else:
-        runs = [run_replication(config, i, pair_level) for i in range(replications)]
+    with _mapper(args.workers, replications) as map_fn:
+        runs = list(map_fn(_replication_job, [(config, i, pair_level) for i in range(replications)]))
     for run in runs:
         conservation_audit(run)
     merged = merge_estimates(runs)
@@ -173,11 +182,9 @@ def cmd_cavity(args) -> int:
     point, controls = _read_run_config(args, "cavity", CavityPoint, FixedPointControls)
     service, alpha, D = point.service, point.alpha, point.D
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            report = fixed_point(service, alpha, D, controls, map_fn=pool.map)
-    else:
-        report = fixed_point(service, alpha, D, controls)
+    shards = min(controls.shards, controls.cycles_per_iter) if controls.max_iter else 0
+    with _mapper(args.workers, shards) as map_fn:
+        report = fixed_point(service, alpha, D, controls, map_fn=map_fn)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -223,7 +230,7 @@ def cmd_predict(args) -> int:
     (cfg,) = read_config(_read_doc(args, "analytic"), {**vars(args), "betas": args.beta}, PredictConfig)
     rows = ["D,beta,regime,exponent"]
     for beta in _parse_betas(args, cfg.betas):
-        rows.append(classify_regime(cfg.D, beta, cfg.c1, cfg.c2).row())
+        rows.append(classify_regime(cfg.D, beta).row())
     table = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8", newline="\n")
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--service", choices=KINDS, help="service distribution kind")
         p.add_argument("--beta", type=float, help="tail exponent for lomax/pareto")
         p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+        p.add_argument("--workers", type=int, default=1, help="parallel worker processes, >= 1 (default 1)")
         p.add_argument("--out", required=True, help="output path stem")
 
     p = sub.add_parser("simulate", help="run the N-queue network simulator")
@@ -290,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-choices", dest="D", type=int)
     p.add_argument("--beta", type=float, action="append")
     p.add_argument("--beta-grid", help="lo:hi:step inclusive grid")
-    p.add_argument("--c1", type=float, help="lower tail constant (boundary regime echo)")
-    p.add_argument("--c2", type=float, help="upper tail constant (boundary regime echo)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 

@@ -20,7 +20,7 @@ inputs with zero-width intervals fall back to an unweighted fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InsufficientDataError
@@ -45,16 +45,7 @@ class TailFit:
     d_choices: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "slope_stderr": self.slope_stderr,
-            "k_window": list(self.k_window),
-            "n_points": self.n_points,
-            "d_choices": self.d_choices,
-        }
+        return asdict(self)  # json writes the k_window tuple as a list
 
 
 def _transform(model: str, k: int, p: float, hw: float, d_choices: int):

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import stdtrit
 
 from .config import read_config
 from .errors import AuditFailure, ConfigError
@@ -102,7 +102,7 @@ class NetworkRun:
     beyond_k_max: int  # measured arrivals that took a queue past k_max
     runtime_s: float
     pair_level: int | None = None
-    pair_batches: list = field(default_factory=list)  # (covariance, level-k occupancy) per batch
+    pair_batches: list = field(default_factory=list)  # indicator covariance per batch
 
 
 @dataclass
@@ -112,7 +112,6 @@ class PairDependence:
     level: int
     cov: float
     ci: float
-    mean_x: float
     n_batches: int
 
 
@@ -123,12 +122,13 @@ class AuditReport:
     in_system: int
 
 
-def _t_half(values: np.ndarray, confidence: float = 0.95) -> float:
+def _t_half(values: np.ndarray) -> float:
+    """Student-t 95% half-width of the mean of ``values``."""
     n = len(values)
     if n < 2:
         return 0.0
     s = float(np.std(values, ddof=1))
-    return float(_sps.t.ppf(0.5 + confidence / 2.0, n - 1)) * s / math.sqrt(n)
+    return float(stdtrit(n - 1, 0.975)) * s / math.sqrt(n)
 
 
 def _level_means(samples) -> tuple[list, list, bool]:
@@ -314,25 +314,15 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
     p, ci, clipped = _level_means(levels)
     # sum over levels 1..k_max of the level occupancy is min(Z, k_max) per queue
     jobs_vals = levels.sum(axis=0)
-    tail = TailEstimate(
-        p=p,
-        ci=ci,
-        measurement_time=dur * config.n_batches,
-        method="batch-means",
-        clipped=clipped,
-        max_level=max((j for j in range(1, config.k_max + 1) if raw["c_cur"][j] or p[j] > 0), default=0),
-        meta={"n_batches": config.n_batches},
-    )
-    # per batch: (indicator covariance, level-k occupancy) from the
-    # all-pairs identity E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2
+    # per batch: the indicator covariance from the all-pairs identity
+    # E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2
     pair_batches = []
     for ic, icc in raw["pair_batches"]:
         mean_c = ic / dur / N
-        mean_cc = icc / dur / (N * (N - 1))
-        pair_batches.append((mean_cc - mean_c * mean_c, mean_c))
+        pair_batches.append(icc / dur / (N * (N - 1)) - mean_c * mean_c)
     return NetworkRun(
         config=config,
-        tail=tail,
+        tail=TailEstimate(p=p, ci=ci, clipped=clipped),
         arrivals=raw["arrivals"],
         departures=raw["departures"],
         lengths_end=raw["lengths"],
@@ -363,15 +353,8 @@ def pair_dependence(runs: list) -> PairDependence:
     levels = {r.pair_level for r in runs}
     if len(levels) != 1 or None in levels:
         raise ConfigError(f"runs must all track one pair level, got levels {sorted(levels, key=str)}")
-    covs = np.asarray([cov for r in runs for cov, _ in r.pair_batches])
-    m = float(np.mean([mean_c for r in runs for _, mean_c in r.pair_batches]))
-    return PairDependence(
-        level=levels.pop(),
-        cov=float(np.mean(covs)),
-        ci=_t_half(covs),
-        mean_x=m,
-        n_batches=len(covs),
-    )
+    covs = np.asarray([cov for r in runs for cov in r.pair_batches])
+    return PairDependence(level=levels.pop(), cov=float(np.mean(covs)), ci=_t_half(covs), n_batches=len(covs))
 
 
 def conservation_audit(run: NetworkRun) -> AuditReport:
@@ -417,12 +400,4 @@ def merge_estimates(runs: list) -> TailEstimate:
     if len(runs) == 1:
         return runs[0].tail
     p, ci, clipped = _level_means(zip(*(r.tail.p[1:] for r in runs)))
-    return TailEstimate(
-        p=p,
-        ci=ci,
-        measurement_time=sum(r.tail.measurement_time for r in runs),
-        method="batch-means",
-        clipped=clipped,
-        max_level=max(r.tail.max_level or 0 for r in runs),
-        meta={"replications": len(runs)},
-    )
+    return TailEstimate(p=p, ci=ci, clipped=clipped)

@@ -10,7 +10,7 @@ deep levels (kept unclipped so the half-width is exactly recoverable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -22,12 +22,10 @@ CSV_HEADER = "k,p,ci_low,ci_high"
 class TailVector:
     """Monotone tail probabilities p[0..k_max] used as a cavity environment.
 
-    Levels beyond k_max take the constant ``extrapolation`` value (default 0,
-    i.e. the environment is treated as never exceeding k_max).
+    Levels beyond k_max have p = 0: the environment never exceeds k_max.
     """
 
     p: tuple
-    extrapolation: float = 0.0
 
     def __post_init__(self):
         p = tuple(float(x) for x in self.p)
@@ -40,8 +38,6 @@ class TailVector:
                 raise ConfigError(f"tail vector must be nonincreasing (p[{k}]={p[k]} < p[{k+1}]={p[k+1]})")
         if any(not (0.0 <= x <= 1.0) for x in p):
             raise ConfigError("tail probabilities must lie in [0, 1]")
-        if not (0.0 <= self.extrapolation <= p[-1] + 1e-12):
-            raise ConfigError("extrapolation value must lie in [0, p[k_max]]")
         object.__setattr__(self, "p", p)
 
     @property
@@ -49,12 +45,12 @@ class TailVector:
         return len(self.p) - 1
 
     def value(self, k: int) -> float:
-        """p[k], with p = 1 below level 0 and the extrapolation rule above k_max."""
+        """p[k], with p = 1 below level 0 and p = 0 above k_max."""
         if k <= 0:
             return 1.0
         if k <= self.k_max:
             return self.p[k]
-        return self.extrapolation
+        return 0.0
 
     @classmethod
     def geometric(cls, ratio: float, k_max: int) -> "TailVector":
@@ -68,18 +64,12 @@ class TailVector:
 class TailEstimate:
     """Estimated tail probabilities with per-level confidence half-widths.
 
-    method is "batch-means" (network simulator) or "regenerative" (cavity).
-    measurement_time is the total simulated time behind the estimate.
     clipped records whether isotonic clipping had to adjust any level.
     """
 
     p: list
     ci: list
-    measurement_time: float
-    method: str
     clipped: bool = False
-    max_level: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.p = [float(x) for x in self.p]

@@ -101,6 +101,7 @@ def test_criterion_03_vdk_reproduction_cavity():
     ok("criterion 3", f"{', '.join(details)} within 3 CIs of the exponential-service limit in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_04_vdk_reproduction_network():
     t0 = time.perf_counter()
     run = run_network(NetworkConfig(N=500, D=2, alpha=0.5, service=EXP, horizon=20_000.0, seed=1))
@@ -135,6 +136,7 @@ def _cavity_study(beta: float, k_max: int, burn_iters: int, measure_cycles: int,
     return rows
 
 
+@pytest.mark.slow
 def test_criterion_05a_power_law_regime():
     t0 = time.perf_counter()
     rows = _cavity_study(beta=1.4, k_max=128, burn_iters=40, measure_cycles=4_800_000, seed=7)
@@ -149,6 +151,7 @@ def test_criterion_05a_power_law_regime():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05b_boundary_regime():
     t0 = time.perf_counter()
     rows = _cavity_study(beta=2.0, k_max=64, burn_iters=40, measure_cycles=3_000_000, seed=7)
@@ -178,6 +181,7 @@ def test_criterion_05b_boundary_regime():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05c_doubly_exponential_regime():
     t0 = time.perf_counter()
     spec = make_spec("lomax", 3.0)
@@ -254,6 +258,7 @@ def test_criterion_08_bound_recursion_asymptotics():
     ok("criterion 8", f"upper functional {f_up:.4f}, lower {f_lo:.4f} (from below), target {target}")
 
 
+@pytest.mark.slow
 def test_criterion_09_dependence_decays_with_system_size():
     small = pair_dependence(
         [run_network(NetworkConfig(N=50, D=2, alpha=0.5, service=EXP, horizon=40_000.0, seed=33), pair_level=1)]

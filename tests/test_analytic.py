@@ -189,10 +189,9 @@ class TestClassifyRegime:
         r = classify_regime(2, 1.4)
         assert r.regime == "power-law"
         assert r.exponent == pytest.approx(2.0 / 3.0, rel=1e-9)
-        r = classify_regime(2, 2.0, c1=0.5, c2=2.0)
+        r = classify_regime(2, 2.0)
         assert r.regime == "exponential-boundary"
         assert r.exponent is None
-        assert (r.c1, r.c2) == (0.5, 2.0)
 
     def test_boundary_window(self):
         assert classify_regime(3, 1.5 + 1e-13).regime == "exponential-boundary"

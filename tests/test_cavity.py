@@ -120,6 +120,15 @@ class TestSimulateCycles:
         assert stats.v[1] == pytest.approx(float(stats.n_cycles), abs=1e-9)
         assert stats.max_level == 1
 
+    def test_single_choice_arrives_above_k_max(self):
+        # D = 1 ignores the environment, so the kernel is M/M/1 at any k_max
+        # and p[1] = alpha; no arrivals above k_max = 1 would make it M/M/1/2
+        # with p[1] = 3/7
+        stats = simulate_cycles(TailVector((1.0, 0.5)), EXP, 0.5, 1, 40_000, random.Random(21))
+        est = tail_from_cycles(stats)
+        assert abs(est.p[1] - 0.5) <= 3 * est.ci[1]
+        assert stats.max_level > 2
+
     def test_zero_cycles_rejected(self):
         with pytest.raises(ConfigError):
             simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, 0, random.Random(1))

@@ -2,11 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
 from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 
 import pytest
 
-from jsqlab import FixedPointControls, NetworkConfig, make_spec, pair_dependence, run_replication
+import jsqlab
+from jsqlab import FixedPointControls, NetworkConfig, cli, make_spec, pair_dependence, run_replication
 from jsqlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from jsqlab.tails import read_tail_csv
 
@@ -22,6 +26,12 @@ NET_DOC = {"mode": "network", "N": 10, "D": 2, "alpha": 0.5, "service": {"kind":
            "horizon": 60, "seed": 2}
 CAV_DOC = {"mode": "cavity", "D": 2, "alpha": 0.5, "service": {"kind": "exponential"},
            "k_max": 8, "cycles_per_iter": 2000, "max_iter": 1, "seed": 3}
+
+
+SMALL_CAV_ARGS = [
+    "cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential",
+    "--k-max", "8", "--cycles", "2000", "--max-iter", "1", "--seed", "3",
+]
 
 
 def run_doc(tmp_path, command, doc, out, *flags):
@@ -234,6 +244,59 @@ class TestCavity:
         assert written == ["run0.5.csv", "run0.5.json", "run0.7.csv", "run0.7.json"]
 
 
+class TestWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool by one that records max_workers and maps in this process."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    @pytest.mark.parametrize("args", [SIM_ARGS, SMALL_CAV_ARGS])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_below_one_exits_before_writing(self, tmp_path, capsys, pools, args, workers):
+        out = tmp_path / "sub" / "bad"
+        assert main(args + ["--workers", workers, "--out", str(out)]) == EXIT_CONFIG
+        assert not (tmp_path / "sub").exists()
+        assert pools == []
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, workers, started", [
+        (SIM_ARGS + ["--horizon", "60", "--replications", "3"], "64", [3]),
+        (SIM_ARGS + ["--horizon", "60"], "64", []),  # one replication runs in this process
+        (SMALL_CAV_ARGS + ["--shards", "4"], "64", [4]),
+        (SMALL_CAV_ARGS + ["--shards", "16", "--cycles", "3"], "64", [3]),  # three cycles make three shards
+        (SMALL_CAV_ARGS + ["--shards", "1"], "64", []),
+        (SMALL_CAV_ARGS + ["--max-iter", "0"], "64", []),  # no iteration, no shard
+        (SMALL_CAV_ARGS, "2", [2]),
+    ])
+    def test_no_more_processes_than_jobs(self, tmp_path, pools, args, workers, started):
+        assert main(args + ["--workers", workers, "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert pools == started
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(jsqlab.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import jsqlab.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert "'jsqlab.cli'" in loaded
+    assert "'scipy.stats'" not in loaded
+
+
 class TestPredict:
     def test_rows(self, capsys):
         rc = main(["predict", "--d-choices", "2", "--beta", "3", "--beta", "1.4", "--beta", "2"])
@@ -269,6 +332,7 @@ class TestPredict:
         ({"D": 2.5, "typo": 1}, "typo"),
         ({"betas": "3"}, "betas"),
         ({"betas": [True]}, "betas"),
+        ({"c1": 0.5}, "c1"),  # the tail constants are no longer a predict key
     ])
     def test_bad_document_exits_before_writing(self, tmp_path, capsys, extra, key):
         cfg = tmp_path / "analytic.json"
@@ -280,13 +344,17 @@ class TestPredict:
 
     def test_flags_over_document(self, tmp_path, capsys):
         cfg = tmp_path / "analytic.json"
-        cfg.write_text(json.dumps({"mode": "analytic", "D": 2, "betas": [3.0], "c1": 2.0, "c2": 1.0}))
-        assert main(["predict", "--config", str(cfg)]) == EXIT_CONFIG  # c1 > c2
-        capsys.readouterr()
-        flags = ["--d-choices", "3", "--beta", "1.4", "--beta-grid", "2.5:2.5:1", "--c2", "4"]
+        cfg.write_text(json.dumps({"mode": "analytic", "D": 2, "betas": [3.0]}))
+        flags = ["--d-choices", "3", "--beta", "1.4", "--beta-grid", "2.5:2.5:1"]
         assert main(["predict", "--config", str(cfg), *flags]) == EXIT_OK
         lines = capsys.readouterr().out.strip().split("\n")
         assert [ln.split(",")[:2] for ln in lines[1:]] == [["3", "1.4"], ["3", "2.5"]]
+
+    @pytest.mark.parametrize("flag", ["--c1", "--c2"])
+    def test_tail_constants_are_not_flags(self, flag):
+        with pytest.raises(SystemExit) as e:
+            main(["predict", "--d-choices", "2", "--beta", "2", flag, "-5"])
+        assert e.value.code == EXIT_CONFIG
 
 
 class TestFit:

@@ -85,8 +85,6 @@ class TestRoundTrip:
         est = TailEstimate(
             p=[1.0, 0.5123456789012345, 0.123456789012345e-1, 0.4e-3, 0.71e-4],
             ci=[0.0, 0.01, 0.001, 0.00009, 0.00001],
-            measurement_time=123.456,
-            method="batch-means",
         )
         path = tmp_path / "tail.csv"
         write_tail_csv(path, est)
@@ -102,7 +100,7 @@ class TestRoundTrip:
         assert fit1.to_json_dict() == fit2.to_json_dict()
 
     def test_header_is_stable(self, tmp_path):
-        est = TailEstimate(p=[1.0, 0.5], ci=[0.0, 0.1], measurement_time=1.0, method="regenerative")
+        est = TailEstimate(p=[1.0, 0.5], ci=[0.0, 0.1])
         path = tmp_path / "t.csv"
         write_tail_csv(path, est)
         text = path.read_text()

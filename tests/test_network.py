@@ -252,7 +252,7 @@ class TestPairDependence:
         runs = [run_replication(cfg, i, pair_level=1) for i in range(3)]
         dep = pair_dependence(runs)
         assert dep.n_batches == 3 * cfg.n_batches
-        covs = [cov for r in runs for cov, _ in r.pair_batches]
+        covs = [cov for r in runs for cov in r.pair_batches]
         assert dep.cov == pytest.approx(float(np.mean(covs)), rel=1e-12)
 
 
