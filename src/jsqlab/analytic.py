@@ -77,7 +77,6 @@ class QRoot:
     x_star: float
     q: float
     residual: float
-    iterations: int
 
 
 def _char_sum(D: int, ell: int, eta: float, x: float) -> float:
@@ -103,19 +102,17 @@ def q_root(D: int, ell: int, eta: float) -> QRoot:
     lo, hi = 1.0 / D, 1.0
     # h(lo) < 0 since the finite window sums to strictly less than the full
     # geometric series (D-1) * sum_{i>=1} D**-i = 1; h(hi) > 0 by the check above.
-    iterations = 0
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        iterations += 1
         if _char_sum(D, ell, eta, mid) < 0.0:
             lo = mid
         else:
             hi = mid
     x_star = 0.5 * (lo + hi)
     q = -math.log(x_star) / math.log(D)
-    return QRoot(x_star=x_star, q=q, residual=_char_sum(D, ell, eta, x_star), iterations=iterations)
+    return QRoot(x_star=x_star, q=q, residual=_char_sum(D, ell, eta, x_star))
 
 
 def boundary_beta(D: int) -> float:

@@ -152,16 +152,12 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     vt = stats.vt
     v_at = [0.0] * max(256, start + 1)  # time at exactly level z within the current cycle
     inf = math.inf
+    z0 = start or 1  # level at which each excursion starts
 
     for _ in range(n):
-        if start:
-            t = 0.0
-            z = max_z = start
-            s_rem = s if s > 0.0 else draw(rng)
-        else:
-            t = expovariate(rates[0])  # idle wait; rates[0] > 0 since p[0] = 1
-            z = max_z = 1
-            s_rem = draw(rng)
+        t = 0.0 if start else expovariate(rates[0])  # idle wait; rates[0] > 0 since p[0] = 1
+        z = max_z = z0
+        s_rem = s or draw(rng)
         aborted = False
         while z:
             rate = rates[z] if z <= k_max else rate_beyond
@@ -461,7 +457,7 @@ def measure_return_time(
     _check_alpha_d(alpha, D)
     if k < 1:
         raise ConfigError(f"starting level k must be >= 1, got {k}")
-    if s < 0.0:
+    if not s >= 0.0:
         raise ConfigError(f"residual s must be >= 0, got {s}")
     if n_reps < 2:
         raise ConfigError(f"n_reps must be >= 2, got {n_reps}")

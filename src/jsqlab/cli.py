@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +44,7 @@ from .tails import write_tail_csv
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+MAX_GRID_POINTS = 100_000
 
 
 def _load_config_doc(path: str) -> dict:
@@ -213,12 +215,12 @@ def _parse_betas(args, betas: list) -> list:
             lo, hi, step = (float(x) for x in args.beta_grid.split(":"))
         except ValueError as e:
             raise ConfigError(f"--beta-grid expects lo:hi:step, got {args.beta_grid!r}") from e
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"--beta-grid needs step > 0 and hi >= lo, got {args.beta_grid!r}")
-        b = lo
-        while b <= hi + 1e-12:
-            betas.append(round(b, 12))
-            b += step
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+            raise ConfigError(f"--beta-grid needs finite parts, step > 0 and hi >= lo, got {args.beta_grid!r}")
+        span = (hi - lo + 1e-12) / step
+        if not span < MAX_GRID_POINTS:  # also a span that overflowed to inf
+            raise ConfigError(f"--beta-grid {args.beta_grid!r} has more than {MAX_GRID_POINTS} points")
+        betas += [round(lo + i * step, 12) for i in range(math.floor(span) + 1)]
     if not betas:
         raise ConfigError("predict needs --beta and/or --beta-grid")
     return betas

@@ -6,8 +6,9 @@ index array), joins a shortest one among them with uniform tie split, and is
 served FIFO at rate 1. Tail jobs carry nothing; a service time is drawn when
 a job reaches the head, so the event calendar needs no cancellations: a
 completion is scheduled only when a queue turns busy or a successor starts
-service. Calendar ties are broken by a monotone sequence counter, making the
-event sequence a deterministic function of (config, seed).
+service. A queue therefore has at most one completion pending, so the
+calendar is keyed on (time, queue) and the event sequence is a deterministic
+function of (config, seed).
 
 The horizon is cut into windows: window 0 is the warm-up [0, t_w) and
 windows 1..n_batches tile [t_w, horizon]. The event loop runs once per
@@ -67,8 +68,8 @@ class NetworkConfig:
             raise ConfigError(f"D={self.D} exceeds the number of queues N={self.N}")
         if not (0.0 <= self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not self.horizon > 0.0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if not (0.0 <= self.warmup_fraction < 1.0):
             raise ConfigError(f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}")
         if self.k_max < 1:
@@ -115,13 +116,6 @@ class PairDependence:
     n_batches: int
 
 
-@dataclass
-class AuditReport:
-    arrivals: int
-    departures: int
-    in_system: int
-
-
 def _t_half(values: np.ndarray) -> float:
     """Student-t 95% half-width of the mean of ``values``."""
     n = len(values)
@@ -151,29 +145,39 @@ def check_pair_level(config: NetworkConfig, k) -> None:
         raise ConfigError(f"pair level must be an integer in [1, k_max={config.k_max}], got {k!r}")
 
 
-def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
-    """One simulation pass; collects per-batch occupancy integrals.
+def run_network(config: NetworkConfig, *, relabel: list | None = None,
+                pair_level: int | None = None) -> NetworkRun:
+    """Simulate the network and return the batch-means tail estimate.
 
-    ``perm`` is the initial content of the persistent Fisher-Yates array;
-    sampling swaps positions only, so its content never changes the path.
+    ``relabel`` is the initial content of the persistent Fisher-Yates
+    array, so every sampled queue is mapped through it; sampling swaps
+    positions only, so the draws are unchanged and only the queues' names
+    differ. An exchangeability diagnostic: summary statistics must be
+    unchanged.
+    ``pair_level`` also tracks the two-queue covariance at that level in the
+    same pass (see ``pair_dependence``); it consumes no randomness.
     """
-    N, D, alpha, k_max = cfg.N, cfg.D, cfg.alpha, cfg.k_max
-    nb = cfg.n_batches
-    rng = derive_stream(cfg.seed, 0)
-    draw = make_sampler(cfg.service)
+    if pair_level is not None:
+        check_pair_level(config, pair_level)
+    if relabel is not None and sorted(relabel) != list(range(config.N)):
+        raise ConfigError("relabel must be a permutation of range(N)")
+    perm = list(relabel) if relabel is not None else list(range(config.N))
+    N, D, alpha, k_max = config.N, config.D, config.alpha, config.k_max
+    nb = config.n_batches
+    rng = derive_stream(config.seed, 0)
+    draw = make_sampler(config.service)
     rnd = rng.random
     expovariate = rng.expovariate
     pair_at = pair_level or 0  # level 0 never changes, so 0 disables the tracker
 
     # window b ends at ends[b]: window 0 is the warm-up, 1..nb the batches
-    t_w = cfg.warmup_fraction * cfg.horizon
-    batch_dur = (cfg.horizon - t_w) / nb
+    t_w = config.warmup_fraction * config.horizon
+    batch_dur = (config.horizon - t_w) / nb
     ends = [t_w + j * batch_dur for j in range(nb + 1)]
-    ends[-1] = cfg.horizon
+    ends[-1] = config.horizon
 
     lengths = [0] * N
-    heap: list = []
-    seq = 0
+    heap: list = []  # (completion time, queue): a queue has at most one pending
 
     c_cur = [0] * (k_max + 1)  # level counts, index 1..k_max
     level_batches = [[] for _ in range(k_max + 1)]  # per level: batch time-integrals
@@ -200,7 +204,7 @@ def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
         cc_sum_t = 0.0
         while True:
             if heap and heap[0][0] <= next_arrival:
-                t, _, qi = heap[0]
+                t, qi = heap[0]
                 if t >= t1:
                     break
                 heappop(heap)
@@ -216,8 +220,7 @@ def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
                         cc_net += df
                         cc_sum_t += df * t
                 if z > 1:
-                    seq += 1
-                    heappush(heap, (t + draw(rng), seq, qi))
+                    heappush(heap, (t + draw(rng), qi))
             else:
                 t = next_arrival
                 if t >= t1:
@@ -266,8 +269,7 @@ def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
                 else:
                     beyond += 1
                 if z == 0:
-                    seq += 1
-                    heappush(heap, (t + draw(rng), seq, chosen))
+                    heappush(heap, (t + draw(rng), chosen))
 
         # close the window: a batch keeps its integrals, the warm-up drops them
         if b:
@@ -275,62 +277,31 @@ def _simulate(cfg: NetworkConfig, pair_level: int | None, perm: list) -> dict:
             for j in range(1, k_max + 1):
                 level_batches[j].append(c0[j] * dur + net[j] * t1 - sum_t[j])
             if pair_at:
-                pair_batches.append((level_batches[pair_at][-1], cc0 * dur + cc_net * t1 - cc_sum_t))
+                # the indicator covariance from the all-pairs identity
+                # E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2
+                mean_c = level_batches[pair_at][-1] / batch_dur / N
+                icc = cc0 * dur + cc_net * t1 - cc_sum_t
+                pair_batches.append(icc / batch_dur / (N * (N - 1)) - mean_c * mean_c)
         else:
             beyond = 0
 
-    return {
-        "level_batches": level_batches,
-        "pair_batches": pair_batches,
-        "batch_dur": batch_dur,
-        "arrivals": arrivals,
-        "departures": departures,
-        "beyond_k_max": beyond,
-        "lengths": lengths,
-        "c_cur": c_cur,
-        "runtime_s": _time.perf_counter() - wall0,
-    }
+    runtime_s = _time.perf_counter() - wall0
 
-
-def run_network(config: NetworkConfig, *, relabel: list | None = None,
-                pair_level: int | None = None) -> NetworkRun:
-    """Simulate the network and return the batch-means tail estimate.
-
-    ``relabel`` fills the sampling array with a fixed queue relabeling, so
-    every sampled queue is mapped through it; an exchangeability
-    diagnostic: summary statistics must be unchanged.
-    ``pair_level`` also tracks the two-queue covariance at that level in the
-    same pass (see ``pair_dependence``); it consumes no randomness.
-    """
-    if pair_level is not None:
-        check_pair_level(config, pair_level)
-    if relabel is not None and sorted(relabel) != list(range(config.N)):
-        raise ConfigError("relabel must be a permutation of range(N)")
-    perm = list(relabel) if relabel is not None else list(range(config.N))
-    raw = _simulate(config, pair_level, perm)
-    N = config.N
-    dur = raw["batch_dur"]
-    levels = np.asarray(raw["level_batches"][1:]) / (dur * N)  # row j-1: level j per batch
+    levels = np.asarray(level_batches[1:]) / (batch_dur * N)  # row j-1: level j per batch
     p, ci, clipped = _level_means(levels)
     # sum over levels 1..k_max of the level occupancy is min(Z, k_max) per queue
     jobs_vals = levels.sum(axis=0)
-    # per batch: the indicator covariance from the all-pairs identity
-    # E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2
-    pair_batches = []
-    for ic, icc in raw["pair_batches"]:
-        mean_c = ic / dur / N
-        pair_batches.append(icc / dur / (N * (N - 1)) - mean_c * mean_c)
     return NetworkRun(
         config=config,
         tail=TailEstimate(p=p, ci=ci, clipped=clipped),
-        arrivals=raw["arrivals"],
-        departures=raw["departures"],
-        lengths_end=raw["lengths"],
-        c_end=raw["c_cur"],
+        arrivals=arrivals,
+        departures=departures,
+        lengths_end=lengths,
+        c_end=c_cur,
         jobs_mean=float(np.mean(jobs_vals)),
         jobs_ci=_t_half(jobs_vals),
-        beyond_k_max=raw["beyond_k_max"],
-        runtime_s=raw["runtime_s"],
+        beyond_k_max=beyond,
+        runtime_s=runtime_s,
         pair_level=pair_level,
         pair_batches=pair_batches,
     )
@@ -357,7 +328,7 @@ def pair_dependence(runs: list) -> PairDependence:
     return PairDependence(level=levels.pop(), cov=float(np.mean(covs)), ci=_t_half(covs), n_batches=len(covs))
 
 
-def conservation_audit(run: NetworkRun) -> AuditReport:
+def conservation_audit(run: NetworkRun) -> None:
     """Verify flow conservation and the incremental level counters.
 
     arrivals = departures + jobs still in system, and the level counters
@@ -380,11 +351,6 @@ def conservation_audit(run: NetworkRun) -> AuditReport:
             raise AuditFailure(
                 f"level counter mismatch at level {j}: incremental {run.c_end[j]} != rebuilt {rebuilt[j]}"
             )
-    return AuditReport(
-        arrivals=run.arrivals,
-        departures=run.departures,
-        in_system=in_system,
-    )
 
 
 def run_replication(config: NetworkConfig, replication: int, pair_level: int | None = None) -> NetworkRun:

@@ -39,22 +39,9 @@ from jsqlab import (
 from jsqlab.analytic import default_bound_prefix
 from jsqlab.cli import EXIT_OK, main
 
+from oracles import mc_arrival_oracle
+
 EXP = make_spec("exponential")
-
-
-def mc_arrival_oracle(env: TailVector, k: int, alpha: float, D: int, n: int, seed: int):
-    """Monte Carlo of the comparison-state protocol: D-1 draws from the
-    environment, admit when all are >= k, tie split reciprocally."""
-    rng = np.random.default_rng(seed)
-    p = np.array([env.value(j) for j in range(1, env.k_max + 2)])
-    u = rng.random((n, D - 1))
-    levels = (u[:, :, None] < p[None, None, :]).sum(axis=2)
-    all_ge = (levels >= k).all(axis=1)
-    ties = (levels == k).sum(axis=1)
-    join = np.where(all_ge, 1.0 / (1.0 + ties), 0.0)
-    p_hat = join.mean()
-    se = join.std(ddof=1) / math.sqrt(n)
-    return D * alpha * p_hat, D * alpha * se
 
 
 def ok(criterion: str, detail: str):

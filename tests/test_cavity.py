@@ -24,23 +24,10 @@ from jsqlab import (
     vdk_tail,
 )
 
+from oracles import mc_arrival_oracle
+
 EMPTY_ABOVE_0 = TailVector((1.0,) + (0.0,) * 8)
 EXP = make_spec("exponential")
-
-
-def mc_arrival_oracle(env: TailVector, k: int, alpha: float, D: int, n: int, seed: int):
-    """Monte Carlo of the comparison-state protocol: D-1 draws from the
-    environment, admit when all are >= k, tie split reciprocally."""
-    rng = np.random.default_rng(seed)
-    p = np.array([env.value(j) for j in range(1, env.k_max + 2)])  # p[1..k_max+1]
-    u = rng.random((n, D - 1))
-    levels = (u[:, :, None] < p[None, None, :]).sum(axis=2)  # comparison lengths
-    all_ge = (levels >= k).all(axis=1)
-    ties = (levels == k).sum(axis=1)
-    join = np.where(all_ge, 1.0 / (1.0 + ties), 0.0)
-    p_hat = join.mean()
-    se = join.std(ddof=1) / math.sqrt(n)
-    return D * alpha * p_hat, D * alpha * se
 
 
 class TestEffectiveArrivalRate:
@@ -313,6 +300,8 @@ class TestReturnTime:
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 0, 0.5, 10, random.Random(1))
         with pytest.raises(ConfigError):
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, -0.5, 10, random.Random(1))
+        with pytest.raises(ConfigError):
+            measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, math.nan, 10, random.Random(1))
         with pytest.raises(ConfigError):
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, 0.5, 1, random.Random(1))
 

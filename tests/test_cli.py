@@ -55,6 +55,7 @@ class TestConfigDocuments:
         ("simulate", NET_DOC, "replications", "2"),
         ("simulate", NET_DOC, "pair_level", 1.5),
         ("simulate", NET_DOC, "k_max", None),
+        ("simulate", NET_DOC, "horizon", math.inf),  # written as Infinity
     ])
     def test_bad_document_exits_before_any_work(self, tmp_path, capsys, command, base, key, value):
         out = tmp_path / "sub" / "bad"
@@ -315,6 +316,18 @@ class TestPredict:
 
     def test_requires_beta(self):
         assert main(["predict", "--d-choices", "2"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", [
+        "2:3:1e-20",  # a step too small to move beta
+        "2:inf:1",
+        "2:3:nan",
+        "-1e308:1e308:1",  # hi - lo overflows to inf
+    ])
+    def test_bad_beta_grid_exits_before_writing(self, tmp_path, capsys, grid):
+        out = tmp_path / "table.csv"
+        assert main(["predict", "--d-choices", "2", f"--beta-grid={grid}", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "--beta-grid" in capsys.readouterr().err
 
     def test_config_document(self, tmp_path, capsys):
         cfg = tmp_path / "analytic.json"
