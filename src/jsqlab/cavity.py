@@ -24,9 +24,8 @@ results, and stats merge by summation. Iterations are strictly sequential.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError, CycleRunawayError
@@ -84,15 +83,15 @@ class CycleStats:
     nu_max: float = 0.0  # longest observed cycle
     max_level: int = 0  # deepest level visited in any cycle
     n_aborted: int = 0  # cycles that hit the time cap (estimates invalid if > 0)
-    v: np.ndarray = field(default=None)  # summed occupation time with >= k jobs
-    v2: np.ndarray = field(default=None)  # sum of squared per-cycle occupations
-    vt: np.ndarray = field(default=None)  # sum of occupation * cycle length
+    v: list = None  # summed occupation time with >= k jobs
+    v2: list = None  # sum of squared per-cycle occupations
+    vt: list = None  # sum of occupation * cycle length
 
     def __post_init__(self):
         if self.v is None:
-            self.v = np.zeros(self.k_max + 1)
-            self.v2 = np.zeros(self.k_max + 1)
-            self.vt = np.zeros(self.k_max + 1)
+            self.v = [0.0] * (self.k_max + 1)
+            self.v2 = [0.0] * (self.k_max + 1)
+            self.vt = [0.0] * (self.k_max + 1)
 
     def merge(self, other: "CycleStats") -> "CycleStats":
         if other.k_max != self.k_max:
@@ -103,9 +102,9 @@ class CycleStats:
         self.nu_max = max(self.nu_max, other.nu_max)
         self.max_level = max(self.max_level, other.max_level)
         self.n_aborted += other.n_aborted
-        self.v += other.v
-        self.v2 += other.v2
-        self.vt += other.vt
+        self.v = [a + b for a, b in zip(self.v, other.v)]
+        self.v2 = [a + b for a, b in zip(self.v2, other.v2)]
+        self.vt = [a + b for a, b in zip(self.vt, other.vt)]
         return self
 
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .cavity import FixedPointControls, fixed_point
-from .config import read_config
+from .config import echo, read_config
 from .errors import ConfigError
 from .fitting import MODELS, fit_tail
 from .network import (
@@ -45,20 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 MAX_GRID_POINTS = 100_000
-
-
-def _load_config_doc(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must contain a JSON object")
-    if "config" in doc and isinstance(doc["config"], dict):
-        doc = doc["config"]  # accept a sidecar written by an earlier run
-    return doc
 
 
 @dataclass(frozen=True)
@@ -91,8 +77,20 @@ class PredictConfig:
 
 
 def _read_doc(args, mode: str) -> dict:
-    """The ``--config`` document (empty without one), checked for ``mode`` and stripped of it."""
-    doc = _load_config_doc(args.config) if args.config else {}
+    """The ``--config`` document (empty without one), checked for ``mode`` and stripped of it.
+
+    A sidecar written by an earlier run is read through its ``config`` block.
+    """
+    doc = {}
+    if args.config:
+        try:
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8 or not JSON
+            raise ConfigError(f"cannot read config {args.config}: {e}") from e
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must contain a JSON object")
+        if isinstance(doc.get("config"), dict):
+            doc = doc["config"]
     got = doc.pop("mode", mode)
     if got != mode:
         raise ConfigError(f"{args.command} expects a mode={mode} config, got mode={got!r}")
@@ -104,7 +102,7 @@ def _read_run_config(args, mode: str, *classes) -> list:
     doc = _read_doc(args, mode)
     if args.service is None and args.beta is not None:
         raise ConfigError("--beta needs --service; a document's service is not amended flag by flag")
-    service = None if args.service is None else ServiceDistributionSpec(args.service, args.beta)
+    service = None if args.service is None else {"kind": args.service, "beta": args.beta}
     return read_config(doc, {**vars(args), "service": service}, *classes)
 
 
@@ -126,10 +124,16 @@ def _out_path(out: Path, suffix: str) -> Path:
     return out.parent / (out.name + suffix)
 
 
+def _write_text(path, text: str) -> None:
+    """``text`` with LF line endings to ``path``, or to stdout when there is no path."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    else:
+        sys.stdout.write(text)
+
+
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -152,7 +156,7 @@ def cmd_simulate(args) -> int:
     json_path = _out_path(out, ".json")
     write_tail_csv(csv_path, merged)
     sidecar = {
-        "config": {"mode": "network", **config.to_config(), **asdict(extras)},
+        "config": echo("network", config, extras),
         "seed": config.seed,
         "runtime": runtime,
         "batches": config.n_batches,
@@ -165,12 +169,8 @@ def cmd_simulate(args) -> int:
     if pair_level is not None:
         dep = pair_dependence(runs)
         pair_path = _out_path(out, ".pair.csv")
-        pair_path.write_text(
-            "k,cov,ci_low,ci_high\n"
-            f"{dep.level},{dep.cov!r},{(dep.cov - dep.ci)!r},{(dep.cov + dep.ci)!r}\n",
-            encoding="utf-8",
-            newline="\n",
-        )
+        _write_text(pair_path, "k,cov,ci_low,ci_high\n"
+                    f"{dep.level},{dep.cov!r},{(dep.cov - dep.ci)!r},{(dep.cov + dep.ci)!r}\n")
         written.append(str(pair_path))
     print(f"simulate: wrote {', '.join(written)}")
     return EXIT_OK
@@ -182,21 +182,15 @@ def _replication_job(job):
 
 def cmd_cavity(args) -> int:
     point, controls = _read_run_config(args, "cavity", CavityPoint, FixedPointControls)
-    service, alpha, D = point.service, point.alpha, point.D
 
     shards = min(controls.shards, controls.cycles_per_iter) if controls.max_iter else 0
     with _mapper(args.workers, shards) as map_fn:
-        report = fixed_point(service, alpha, D, controls, map_fn=map_fn)
+        report = fixed_point(point.service, point.alpha, point.D, controls, map_fn=map_fn)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    result = report.to_json_dict()
-    payload = {
-        "config": {"mode": "cavity", **asdict(point), "service": service.to_config(), **result["controls"]},
-        **result,
-    }
     json_path = _out_path(out, ".json")
-    _write_json(json_path, payload)
+    _write_json(json_path, {"config": echo("cavity", point, controls), **report.to_json_dict()})
     csv_path = _out_path(out, ".csv")
     if report.estimate is not None:
         write_tail_csv(csv_path, report.estimate)
@@ -233,12 +227,9 @@ def cmd_predict(args) -> int:
     rows = ["D,beta,regime,exponent"]
     for beta in _parse_betas(args, cfg.betas):
         rows.append(classify_regime(cfg.D, beta).row())
-    table = "\n".join(rows) + "\n"
+    _write_text(args.out, "\n".join(rows) + "\n")
     if args.out:
-        Path(args.out).write_text(table, encoding="utf-8", newline="\n")
         print(f"predict: wrote {args.out}")
-    else:
-        sys.stdout.write(table)
     return EXIT_OK
 
 
@@ -246,12 +237,9 @@ def cmd_fit(args) -> int:
     supplied = ("d_choices", "rel_ci_max", "k_min", "k_max")
     fit = fit_tail(args.csv, args.model,
                    **{k: getattr(args, k) for k in supplied if getattr(args, k) is not None})
-    payload = json.dumps(fit.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    _write_json(args.out, asdict(fit))  # json writes the k_window tuple as a list
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8", newline="\n")
         print(f"fit: wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
     return EXIT_OK
 
 

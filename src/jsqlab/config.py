@@ -1,16 +1,17 @@
-"""Reading experiment config documents into their dataclasses.
+"""Reading experiment config documents into their dataclasses, and back.
 
 A config dataclass is the only schema of its part of a document: its fields
 give the key names, the types and the defaults. ``read_config`` checks a
 document against one or more such classes, lays explicit flag values over
 it, and raises ConfigError (CLI exit code 2) for an unknown key, a missing
 required field or a wrongly typed value instead of running something other
-than what was asked for.
+than what was asked for. ``echo`` writes the same dataclasses back as the
+``config`` block of a sidecar, which ``read_config`` reads into equal ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 
 from .errors import ConfigError
 from .service_dist import ServiceDistributionSpec
@@ -27,7 +28,16 @@ def _as_int(name: str, value):
 def _as_float(name: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
+def _as_str(name: str, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _as_list(name: str, value):
@@ -38,13 +48,15 @@ def _as_list(name: str, value):
 
 
 def _as_service(name: str, value):
-    if isinstance(value, ServiceDistributionSpec):
-        return value
-    return ServiceDistributionSpec.from_config(value)
+    try:
+        return read_config(value, {}, ServiceDistributionSpec)[0]
+    except ConfigError as e:
+        raise ConfigError(f"{name}: {e}") from None
 
 
 # keyed by field annotation; the config classes use no other field types
-_CONVERT = {"int": _as_int, "float": _as_float, "list": _as_list, "ServiceDistributionSpec": _as_service}
+_CONVERT = {"int": _as_int, "float": _as_float, "str": _as_str, "list": _as_list,
+            "ServiceDistributionSpec": _as_service}
 
 
 def _typed(field, value):
@@ -78,3 +90,15 @@ def read_config(doc: dict, flags: dict, *classes) -> list:
                 raise ConfigError(f"missing required field {f.name!r}")
         out.append(cls(**kwargs))
     return out
+
+
+def echo(mode: str, *objs) -> dict:
+    """The ``mode`` document of every field of ``objs``; a nested one (the service) omits its Nones."""
+    doc = {"mode": mode}
+    for obj in objs:
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if is_dataclass(value):
+                value = {g.name: v for g in fields(value) if (v := getattr(value, g.name)) is not None}
+            doc[f.name] = value
+    return doc

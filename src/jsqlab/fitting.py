@@ -20,7 +20,7 @@ inputs with zero-width intervals fall back to an unweighted fit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, InsufficientDataError
@@ -43,9 +43,6 @@ class TailFit:
     k_window: tuple
     n_points: int
     d_choices: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)  # json writes the k_window tuple as a list
 
 
 def _transform(model: str, k: int, p: float, hw: float, d_choices: int):
@@ -73,6 +70,10 @@ def fit_tail(
         raise ConfigError(f"unknown model {model!r}; expected one of {MODELS}")
     if model == "doubly-exponential" and (not isinstance(d_choices, int) or d_choices < 2):
         raise ConfigError(f"the doubly-exponential model needs integer d_choices >= 2, got {d_choices!r}")
+    if not (math.isfinite(rel_ci_max) and rel_ci_max > 0.0):
+        raise ConfigError(f"rel_ci_max must be finite and > 0, got {rel_ci_max!r}")
+    if k_min is not None and k_max is not None and k_min > k_max:
+        raise ConfigError(f"k_min={k_min} exceeds k_max={k_max}")
     if isinstance(source, (str, Path)):
         rows = read_tail_csv(source)
     else:

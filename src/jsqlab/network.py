@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
 import numpy as np
 from scipy.special import stdtrit
 
-from .config import read_config
 from .errors import AuditFailure, ConfigError
 from .seeding import check_seed, derive_stream
 from .service_dist import ServiceDistributionSpec, make_sampler
@@ -79,13 +78,6 @@ class NetworkConfig:
         if (1.0 - self.warmup_fraction) * self.horizon / self.n_batches <= 0.0:
             raise ConfigError("horizon too short for the requested batch count")
         check_seed(self.seed)
-
-    def to_config(self) -> dict:
-        return {**asdict(self), "service": self.service.to_config()}
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "NetworkConfig":
-        return read_config(doc, {}, cls)[0]
 
 
 @dataclass

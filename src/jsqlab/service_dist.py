@@ -93,21 +93,6 @@ class ServiceDistributionSpec:
         """Whether the hazard rate is nonincreasing on all of [0, inf)."""
         return self.kind in ("exponential", "lomax")
 
-    def to_config(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.beta is not None:
-            doc["beta"] = self.beta
-        return doc
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "ServiceDistributionSpec":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ConfigError(f"service spec must be a document with a 'kind' field, got {doc!r}")
-        extra = set(doc) - {"kind", "beta"}
-        if extra:
-            raise ConfigError(f"unknown service spec fields {sorted(extra)}")
-        return cls(doc["kind"], doc.get("beta"))
-
 
 def make_spec(kind: str, beta: float | None = None) -> ServiceDistributionSpec:
     """Build and validate a mean-1 service distribution."""

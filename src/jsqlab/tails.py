@@ -107,16 +107,24 @@ def write_tail_csv(path, est: TailEstimate) -> None:
 
 
 def read_tail_csv(path) -> list[tuple[int, float, float, float]]:
-    """Read rows (k, p, ci_low, ci_high) from the shared schema."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    """Read rows (k, p, ci_low, ci_high) from the shared schema.
+
+    The levels must run 0, 1, 2, ... in order, as ``write_tail_csv`` writes
+    them; a row that breaks the schema, or is not UTF-8, raises ConfigError
+    naming its line.
+    """
+    text = Path(path).read_text(encoding="utf-8", errors="replace")  # U+FFFD parses as no number
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigError(f"{path}: expected header {CSV_HEADER!r}")
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"{path}: malformed row {ln!r}")
-        rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+    for n, ln in lines[1:]:
+        try:
+            k, p, lo, hi = ln.split(",")
+            row = (int(k), float(p), float(lo), float(hi))
+        except ValueError:  # a wrong field count, too
+            raise ConfigError(f"{path}, line {n}: malformed row {ln!r}") from None
+        if row[0] != len(rows):
+            raise ConfigError(f"{path}, line {n}: level {row[0]} where level {len(rows)} belongs")
+        rows.append(row)
     return rows
-

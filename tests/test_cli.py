@@ -4,7 +4,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,8 @@ import pytest
 import jsqlab
 from jsqlab import FixedPointControls, NetworkConfig, cli, make_spec, pair_dependence, run_replication
 from jsqlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from jsqlab.config import echo, read_config
+from jsqlab.service_dist import KINDS
 from jsqlab.tails import read_tail_csv
 
 SIM_ARGS = [
@@ -24,6 +26,7 @@ CAV_ARGS = [
 ]
 NET_DOC = {"mode": "network", "N": 10, "D": 2, "alpha": 0.5, "service": {"kind": "exponential"},
            "horizon": 60, "seed": 2}
+NET_CONFIG = NetworkConfig(N=10, D=2, alpha=0.5, service=make_spec("exponential"), horizon=60.0, seed=2)
 CAV_DOC = {"mode": "cavity", "D": 2, "alpha": 0.5, "service": {"kind": "exponential"},
            "k_max": 8, "cycles_per_iter": 2000, "max_iter": 1, "seed": 3}
 
@@ -56,12 +59,29 @@ class TestConfigDocuments:
         ("simulate", NET_DOC, "pair_level", 1.5),
         ("simulate", NET_DOC, "k_max", None),
         ("simulate", NET_DOC, "horizon", math.inf),  # written as Infinity
+        pytest.param("cavity", CAV_DOC, "alpha", int("9" * 400), id="cavity-alpha-too-large-for-a-float"),
+        ("cavity", CAV_DOC, "service", {"kind": "lomax", "beta": "1.4"}),
     ])
     def test_bad_document_exits_before_any_work(self, tmp_path, capsys, command, base, key, value):
         out = tmp_path / "sub" / "bad"
         assert run_doc(tmp_path, command, {**base, key: value}, out) == EXIT_CONFIG
         assert not (tmp_path / "sub").exists()
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, objs", [
+        ("network", (NET_CONFIG, cli.SimulateExtras())),
+        ("network", (NET_CONFIG, cli.SimulateExtras(replications=2, pair_level=1))),
+        *[("cavity", (cli.CavityPoint(D=2, alpha=0.5, service=make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None)),
+                      FixedPointControls(k_max=8, max_iter=0, seed=3))) for kind in KINDS],
+    ], ids=["network", "network-pair-level", *KINDS])
+    def test_sidecar_config_reads_back_to_its_dataclasses(self, tmp_path, mode, objs):
+        doc = echo(mode, *objs)
+        command = "simulate" if mode == "network" else "cavity"
+        assert run_doc(tmp_path, command, doc, tmp_path / "run") == EXIT_OK
+        written = json.loads((tmp_path / "run.json").read_text())["config"]
+        assert written == doc
+        assert written.pop("mode") == mode
+        assert read_config(written, {}, *map(type, objs)) == list(objs)
 
     def test_beta_flag_without_service_flag_is_rejected(self, tmp_path):
         doc = {**CAV_DOC, "service": {"kind": "lomax", "beta": 1.4}}
@@ -189,6 +209,8 @@ class TestSimulate:
         bad.write_text("{not json")
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+        bad.write_bytes(b'{"N": "\xff"}')  # not UTF-8
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
 class TestCavity:
@@ -397,9 +419,9 @@ class TestFit:
     def test_passes_only_supplied_flags(self, monkeypatch, capsys, flags, passed):
         calls = []
 
+        @dataclass
         class Fit:
-            def to_json_dict(self):
-                return {}
+            pass
 
         def fake_fit_tail(source, model, **kwargs):
             calls.append(kwargs)
@@ -408,6 +430,38 @@ class TestFit:
         monkeypatch.setattr("jsqlab.cli.fit_tail", fake_fit_tail)
         assert main(["fit", "any.csv", "--model", "exponential"] + flags) == EXIT_OK
         assert calls == [passed]
+
+    @pytest.mark.parametrize("body, line", [
+        ("0,1.0,1.0,1.0\n1,0.5,abc,0.6\n", 3),  # a non-numeric cell
+        ("0,1.0,1.0,1.0\n1.5,0.5,0.4,0.6\n", 3),  # a fractional level
+        ("0,1.0,1.0,1.0\n3,0.125,0.12,0.13\n1,0.5,0.49,0.51\n1,0.5,0.49,0.51\n1,0.5,0.49,0.51\n", 3),
+        ("0,1.0,1.0,1.0\n1,0.5,0.49,0.51\n1,0.5,0.49,0.51\n2,0.25,0.24,0.26\n", 4),  # a duplicated level
+        ("1,0.5,0.49,0.51\n2,0.25,0.24,0.26\n3,0.125,0.12,0.13\n4,0.06,0.05,0.07\n", 2),  # no level 0
+        ("0,1.0,1.0,1.0\n1,0.5,0.4,\xff\n", 3),  # a byte that is not UTF-8
+    ])
+    def test_bad_csv_row_is_config_error(self, tmp_path, capsys, body, line):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(("k,p,ci_low,ci_high\n" + body).encode("latin-1"))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv), "--model", "exponential", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert f"{csv}, line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--rel-ci-max", "nan"], "rel_ci_max"),  # would turn the CI filter off
+        (["--rel-ci-max", "inf"], "rel_ci_max"),
+        (["--rel-ci-max=-0.5"], "rel_ci_max"),
+        (["--rel-ci-max", "0"], "rel_ci_max"),
+        (["--k-min", "5", "--k-max", "2"], "k_min"),
+    ])
+    def test_bad_fit_options_are_config_errors(self, tmp_path, capsys, flags, key):
+        csv = tmp_path / "tail.csv"
+        csv.write_text("k,p,ci_low,ci_high\n" + "".join(
+            f"{k},{0.5**k!r},{0.49 * 0.5**k!r},{0.51 * 0.5**k!r}\n" for k in range(11)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv), "--model", "exponential", *flags, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, tmp_path):
         rc = main(["fit", str(tmp_path / "nope.csv"), "--model", "exponential"])

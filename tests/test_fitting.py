@@ -1,6 +1,7 @@
 """Tail-model fitting on synthetic data with known slopes."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -97,7 +98,7 @@ class TestRoundTrip:
         fit1 = fit_tail(path, "exponential")
         fit2 = fit_tail(rows1, "exponential")
         assert fit1 == fit2
-        assert fit1.to_json_dict() == fit2.to_json_dict()
+        assert asdict(fit1) == asdict(fit2)
 
     def test_header_is_stable(self, tmp_path):
         est = TailEstimate(p=[1.0, 0.5], ci=[0.0, 0.1])

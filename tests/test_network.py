@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsqlab import network
+from jsqlab.config import echo, read_config
 from jsqlab import (
     AuditFailure,
     ConfigError,
@@ -119,21 +120,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(warmup_fraction=1.0)
 
+    @staticmethod
+    def document(cfg):
+        doc = echo("network", cfg)
+        assert doc.pop("mode") == "network"
+        return doc
+
     def test_round_trip(self):
         cfg = small_config()
-        assert NetworkConfig.from_config(cfg.to_config()) == cfg
+        assert read_config(self.document(cfg), {}, NetworkConfig) == [cfg]
 
     def test_from_config_rejects_unknown(self):
-        doc = small_config().to_config()
+        doc = self.document(small_config())
         doc["threads"] = 4
         with pytest.raises(ConfigError):
-            NetworkConfig.from_config(doc)
+            read_config(doc, {}, NetworkConfig)
 
     @pytest.mark.parametrize("key, value", [("horizon", "60"), ("N", 20.5), ("k_max", True), ("service", "exponential")])
     def test_from_config_rejects_wrong_types(self, key, value):
-        doc = {**small_config().to_config(), key: value}
+        doc = {**self.document(small_config()), key: value}
         with pytest.raises(ConfigError, match=key):
-            NetworkConfig.from_config(doc)
+            read_config(doc, {}, NetworkConfig)
 
 
 class TestRunNetwork:

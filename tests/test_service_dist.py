@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsqlab import ConfigError, cdf, log_tail, make_sampler, make_spec, tail
+from jsqlab.config import echo, read_config
 from jsqlab.service_dist import KINDS, ServiceDistributionSpec
 
 
@@ -73,11 +74,13 @@ class TestConstruction:
 
     def test_config_round_trip(self):
         for spec in all_specs():
-            assert ServiceDistributionSpec.from_config(spec.to_config()) == spec
+            doc = echo("service", spec)
+            del doc["mode"]
+            assert read_config(doc, {}, ServiceDistributionSpec) == [spec]
 
     def test_config_rejects_extra_fields(self):
         with pytest.raises(ConfigError):
-            ServiceDistributionSpec.from_config({"kind": "lomax", "beta": 2.0, "scale": 3})
+            read_config({"kind": "lomax", "beta": 2.0, "scale": 3}, {}, ServiceDistributionSpec)
 
 
 class TestTail:
