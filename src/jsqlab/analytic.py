@@ -79,6 +79,22 @@ class QRoot:
     residual: float
 
 
+def bisect(below, lo: float, hi: float) -> float:
+    """The point in [lo, hi] where ``below`` turns from True to False.
+
+    Bisection runs until the midpoint rounds onto an end of the bracket, so
+    the result is as exact as ``below`` can resolve.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 def _char_sum(D: int, ell: int, eta: float, x: float) -> float:
     # h(x) = (D-1) * (x + ... + x**(ell-1) + eta*x**ell) - 1, Horner form
     acc = eta * x
@@ -99,18 +115,9 @@ def q_root(D: int, ell: int, eta: float) -> QRoot:
             f"(D={D}, ell={ell}, eta={eta}) is at or below the boundary "
             f"(D-1)*(ell-1+eta) <= 1; no root in (1/D, 1) exists"
         )
-    lo, hi = 1.0 / D, 1.0
-    # h(lo) < 0 since the finite window sums to strictly less than the full
-    # geometric series (D-1) * sum_{i>=1} D**-i = 1; h(hi) > 0 by the check above.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _char_sum(D, ell, eta, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x_star = 0.5 * (lo + hi)
+    # h(1/D) < 0 since the finite window sums to strictly less than the full
+    # geometric series (D-1) * sum_{i>=1} D**-i = 1; h(1) > 0 by the check above.
+    x_star = bisect(lambda x: _char_sum(D, ell, eta, x) < 0.0, 1.0 / D, 1.0)
     q = -math.log(x_star) / math.log(D)
     return QRoot(x_star=x_star, q=q, residual=_char_sum(D, ell, eta, x_star))
 

@@ -24,14 +24,12 @@ results, and stats merge by summation. Iterations are strictly sequential.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-
-from scipy.special import ndtri
+from dataclasses import dataclass
 
 from .errors import ConfigError, CycleRunawayError
 from .seeding import check_seed, derive_stream
 from .service_dist import ServiceDistributionSpec, make_sampler
-from .tails import TailEstimate, TailVector, enforce_monotone
+from .tails import Z95, TailEstimate, TailVector, enforce_monotone
 
 DEFAULT_TIME_CAP = 1e6
 LOG_FLOOR = 1e-300
@@ -259,7 +257,6 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
         raise ConfigError(f"need at least 2 completed cycles, got {stats.n_cycles}")
     n = stats.n_cycles
     mean_nu = stats.total_time / n
-    z = ndtri(0.975)
     p = [1.0]
     ci = [0.0]
     three_bound = 3.0 / n * (stats.nu_max / mean_nu)
@@ -272,7 +269,7 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
         # Var of the per-cycle residual V - r*nu, from the accumulated moments
         ss = stats.v2[k] - 2.0 * r * stats.vt[k] + r * r * stats.t2
         var = max(ss, 0.0) / (n - 1)
-        half = z * math.sqrt(var / n) / mean_nu
+        half = Z95 * math.sqrt(var / n) / mean_nu
         p.append(min(r, 1.0))
         ci.append(half)
     p, clipped = enforce_monotone(p)
@@ -323,22 +320,9 @@ class FixedPointReport:
 
     env: TailVector
     estimate: TailEstimate | None
-    distances: list
-    iterations: int
+    distances: list  # one per iteration run
     converged: bool
-    controls: FixedPointControls
     max_level: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": list(self.env.p),
-            "ci": list(self.estimate.ci) if self.estimate is not None else None,
-            "distances": self.distances,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "max_level": self.max_level,
-            "controls": asdict(self.controls),
-        }
 
 
 def _damped_update(old: TailVector, new_p: list, lam: float) -> list:
@@ -387,9 +371,7 @@ def fixed_point(
     estimate = None
     converged = False
     max_level = 0
-    iterations = 0
     for it in range(controls.max_iter):
-        iterations = it + 1
         stats = simulate_cycles_sharded(
             env,
             service_spec,
@@ -429,9 +411,7 @@ def fixed_point(
         env=env,
         estimate=estimate,
         distances=distances,
-        iterations=iterations,
         converged=converged,
-        controls=controls,
         max_level=max_level,
     )
 
@@ -465,5 +445,5 @@ def measure_return_time(
         raise CycleRunawayError(f"{stats.n_aborted} return-time excursion(s) exceeded the cap {time_cap}")
     mean = stats.total_time / n_reps
     var = max(stats.t2 - n_reps * mean * mean, 0.0) / (n_reps - 1)
-    half = ndtri(0.975) * math.sqrt(var / n_reps)
+    half = Z95 * math.sqrt(var / n_reps)
     return mean, half

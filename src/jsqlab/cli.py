@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .analytic import classify_regime
 from .cavity import FixedPointControls, fixed_point
 from .config import echo, read_config
 from .errors import ConfigError
@@ -190,11 +191,23 @@ def cmd_cavity(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     json_path = _out_path(out, ".json")
-    _write_json(json_path, {"config": echo("cavity", point, controls), **report.to_json_dict()})
+    estimate = report.estimate
+    sidecar = {
+        "config": echo("cavity", point, controls),
+        "p": list(report.env.p),
+        "ci": None if estimate is None else estimate.ci,
+        "distances": report.distances,
+        "iterations": len(report.distances),
+        "converged": report.converged,
+        "max_level": report.max_level,
+        # repeats config's controls; bench/workloads.py reads this copy
+        "controls": asdict(controls),
+    }
+    _write_json(json_path, sidecar)
     csv_path = _out_path(out, ".csv")
-    if report.estimate is not None:
-        write_tail_csv(csv_path, report.estimate)
-        print(f"cavity: converged={report.converged} after {report.iterations} iteration(s); "
+    if estimate is not None:
+        write_tail_csv(csv_path, estimate)
+        print(f"cavity: converged={report.converged} after {len(report.distances)} iteration(s); "
               f"wrote {csv_path}, {json_path}")
     else:
         print(f"cavity: no iterations run (max_iter=0); wrote {json_path}")
@@ -221,8 +234,6 @@ def _parse_betas(args, betas: list) -> list:
 
 
 def cmd_predict(args) -> int:
-    from .analytic import classify_regime
-
     (cfg,) = read_config(_read_doc(args, "analytic"), {**vars(args), "betas": args.beta}, PredictConfig)
     rows = ["D,beta,regime,exponent"]
     for beta in _parse_betas(args, cfg.betas):

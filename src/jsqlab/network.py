@@ -32,12 +32,11 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import AuditFailure, ConfigError
 from .seeding import check_seed, derive_stream
 from .service_dist import ServiceDistributionSpec, make_sampler
-from .tails import TailEstimate, enforce_monotone
+from .tails import TailEstimate, enforce_monotone, t95
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def _t_half(values: np.ndarray) -> float:
     if n < 2:
         return 0.0
     s = float(np.std(values, ddof=1))
-    return float(stdtrit(n - 1, 0.975)) * s / math.sqrt(n)
+    return t95(n - 1) * s / math.sqrt(n)
 
 
 def _level_means(samples) -> tuple[list, list, bool]:

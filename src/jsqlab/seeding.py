@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from numpy.random import SeedSequence  # loaded with jsqlab, not lazily inside the first run
 
 from .errors import ConfigError
 
@@ -25,7 +26,7 @@ def check_seed(seed: int) -> int:
 
 def derive_seed(base_seed: int, *key: int) -> int:
     """Stable 64-bit child seed for (base_seed, key)."""
-    ss = np.random.SeedSequence(entropy=check_seed(base_seed), spawn_key=tuple(int(k) for k in key))
+    ss = SeedSequence(entropy=check_seed(base_seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -6,16 +6,51 @@ same CSV schema ``k,p,ci_low,ci_high`` so downstream fitting is agnostic to
 the data source. Floats are written with repr precision, so a file read back
 and re-written is byte-identical; ci_low = p - ci may dip below 0 for noisy
 deep levels (kept unclipped so the half-width is exactly recoverable).
+
+Every half-width is a 95% interval: ``Z95`` times a standard error for the
+cavity's delta-method and return-time intervals, ``t95(n - 1)`` times the
+standard error of a mean of n batch or replication means on the network.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .analytic import bisect
 from .errors import ConfigError
 
 CSV_HEADER = "k,p,ci_low,ci_high"
+Z95 = 1.959963984540054  # the normal 0.975 quantile, to the last bit
+
+
+def _t_coverage(t: float, df: int) -> float:
+    """Pr(|T| <= t) for Student's t with integer df >= 1 (Abramowitz & Stegun 26.7.3-4).
+
+    With theta = atan(t / sqrt(df)), c = cos(theta) and S the sum over
+    j < df // 2 of c**(2j) times 1*3*...*(2j - 1) / (2*4*...*2j) (even df) or
+    2*4*...*2j / (3*5*...*(2j + 1)) (odd df), it is sin(theta) * S for even
+    df and (2/pi) * (theta + sin(theta) * c * S) for odd df.
+    """
+    theta = math.atan(t / math.sqrt(df))
+    s, c = math.sin(theta), math.cos(theta)
+    odd = df % 2
+    total, term = 0.0, 1.0
+    for j in range(df // 2):
+        total += term
+        term *= (2 * j + 1 + odd) / (2 * j + 2 + odd) * c * c
+    if odd:
+        return 2.0 / math.pi * (theta + s * c * total)
+    return s * total
+
+
+def t95(df: int) -> float:
+    """Student-t 0.975 quantile for integer df >= 1, where the two-sided coverage reaches 0.95.
+
+    The bracket [0, 16] holds the largest of them, t95(1) = 12.706...
+    """
+    return bisect(lambda t: _t_coverage(t, df) < 0.95, 0.0, 16.0)
 
 
 @dataclass(frozen=True)

@@ -312,12 +312,24 @@ class TestWorkers:
         assert pools == started
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    # every command at smoke size in a fresh interpreter loads no scipy module at all
     src = str(Path(jsqlab.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import jsqlab.cli; print(sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    assert "'jsqlab.cli'" in loaded
-    assert "'scipy.stats'" not in loaded
+    net, cav = str(tmp_path / "net"), str(tmp_path / "cav")
+    argvs = [
+        SIM_ARGS + ["--replications", "2", "--pair-level", "1", "--out", net],
+        SMALL_CAV_ARGS + ["--out", cav],
+        ["predict", "--d-choices", "2", "--beta", "1.4", "--beta", "3", "--out", str(tmp_path / "pred.csv")],
+        ["fit", cav + ".csv", "--model", "exponential", "--rel-ci-max", "2.0", "--out", str(tmp_path / "fit.json")],
+    ]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import jsqlab; from jsqlab.cli import main\n"
+            f"print([main(argv) for argv in {argvs!r}])\n"
+            # a None entry is an import blocker, not a loaded module
+            "print(sorted(m for m, mod in sys.modules.items() if mod is not None and m.split('.')[0] == 'scipy'))")
+    lines = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    codes, scipy_modules = lines.splitlines()[-2:]
+    assert codes == repr([EXIT_OK] * len(argvs))
+    assert scipy_modules == "[]"
 
 
 class TestPredict:

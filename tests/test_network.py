@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from jsqlab import network
 from jsqlab.config import echo, read_config
+from jsqlab.tails import Z95, t95
 from jsqlab import (
     AuditFailure,
     ConfigError,
@@ -291,6 +293,42 @@ class TestWindows:
         run = run_network(small_config())
         assert run.beyond_k_max == 0 and not run.tail.clipped
         assert run.jobs_mean == pytest.approx(sum(run.tail.p[1:]), rel=1e-12)
+
+
+class TestIntervals:
+    """The 95% quantiles behind every interval, checked without scipy."""
+
+    def test_t95_closed_forms(self):
+        # df 1 is Cauchy, tan(pi*(0.975 - 1/2)); at df 2, |T| <= t has probability t/sqrt(2 + t*t)
+        assert t95(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-13)
+        assert t95(2) == pytest.approx(0.95 / math.sqrt(2 * 0.975 * 0.025), rel=1e-13)
+
+    @pytest.mark.parametrize("df, quantile", [
+        # scipy.special.stdtrit(df, 0.975), scipy 1.17.1
+        (3, 3.1824463052837078),
+        (19, 2.0930240544083087),
+        (99, 1.9842169515864174),
+        (1999, 1.9611514201705613),
+    ])
+    def test_t95_recorded_values(self, df, quantile):
+        assert t95(df) == pytest.approx(quantile, rel=1e-12)
+
+    def test_t95_falls_toward_z95(self):
+        dfs = [*range(1, 200), 250, 500, 1000, 1999]
+        values = [t95(df) for df in dfs]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] > Z95
+
+    def test_z95_is_the_normal_quantile(self):
+        # NormalDist's rational approximation lands two ulps low, at 1.9599639845400536
+        assert abs(Z95 - statistics.NormalDist().inv_cdf(0.975)) <= 2 * math.ulp(Z95)
+
+    def test_two_sample_half_width(self):
+        a, b = 0.3, 0.7
+        p, ci, clipped = network._level_means([[a, b]])
+        s = abs(a - b) / math.sqrt(2.0)
+        assert p == [1.0, pytest.approx(0.5, rel=1e-15)] and not clipped
+        assert ci == [0.0, pytest.approx(t95(1) * s / math.sqrt(2.0), rel=1e-12)]
 
 
 class TestReplications:
