@@ -19,12 +19,17 @@ environment for the infinite-system limit.
 Within one iteration, cycles are split over a fixed number of shards with
 independent derived streams; shards may run on any pool without changing
 results, and stats merge by summation. Iterations are strictly sequential.
+A shard runs its cycles as numpy lanes, LANES at a time in lockstep, with
+one PCG64 stream seeded from the shard's stream: results depend on the
+lane count as they do on the shard count, never on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, CycleRunawayError
 from .seeding import check_seed, derive_stream
@@ -34,6 +39,8 @@ from .tails import Z95, TailEstimate, TailVector, enforce_monotone
 DEFAULT_TIME_CAP = 1e6
 LOG_FLOOR = 1e-300
 DEFAULT_SHARDS = 16
+LANES = 1024  # excursions in flight per kernel call
+SHALLOW = 6  # deepest level of the excursions the kernel sums at one narrow width
 
 
 def _check_alpha_d(alpha: float, D: int):
@@ -60,8 +67,10 @@ def effective_arrival_rate(env: TailVector, k: int, alpha: float, D: int) -> flo
         raise ConfigError(f"env must be a TailVector, got {type(env).__name__}")
     if k < 0:
         raise ConfigError(f"level k must be >= 0, got {k}")
-    q = env.value(k)
-    r = env.value(k + 1)
+    return _admitted(env.value(k), env.value(k + 1), alpha, D)
+
+
+def _admitted(q: float, r: float, alpha: float, D: int) -> float:
     if q <= 0.0:
         return 0.0 if D > 1 else alpha
     if q > r:
@@ -84,12 +93,14 @@ class CycleStats:
     v: list = None  # summed occupation time with >= k jobs
     v2: list = None  # sum of squared per-cycle occupations
     vt: list = None  # sum of occupation * cycle length
+    reached: list = None  # completed cycles that reached level >= k
 
     def __post_init__(self):
         if self.v is None:
             self.v = [0.0] * (self.k_max + 1)
             self.v2 = [0.0] * (self.k_max + 1)
             self.vt = [0.0] * (self.k_max + 1)
+            self.reached = [0] * (self.k_max + 1)
 
     def merge(self, other: "CycleStats") -> "CycleStats":
         if other.k_max != self.k_max:
@@ -100,9 +111,8 @@ class CycleStats:
         self.nu_max = max(self.nu_max, other.nu_max)
         self.max_level = max(self.max_level, other.max_level)
         self.n_aborted += other.n_aborted
-        self.v = [a + b for a, b in zip(self.v, other.v)]
-        self.v2 = [a + b for a, b in zip(self.v2, other.v2)]
-        self.vt = [a + b for a, b in zip(self.vt, other.vt)]
+        for name in ("v", "v2", "vt", "reached"):
+            setattr(self, name, [a + b for a, b in zip(getattr(self, name), getattr(other, name))])
         return self
 
 
@@ -128,6 +138,19 @@ def simulate_cycles(
     return _excursions(env, service_spec, alpha, D, n_cycles, rng, time_cap)
 
 
+class _LaneDraws:
+    """random.Random's two draws for a service sampler, an array per call: one draw per lane in flight."""
+
+    def __init__(self, gen, size: int):
+        self.gen, self.size = gen, size
+
+    def random(self):
+        return self.gen.random(self.size)
+
+    def expovariate(self, lambd):
+        return -np.log(1.0 - self.random()) / lambd  # random.Random's formula
+
+
 def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -> CycleStats:
     """The excursion kernel behind simulate_cycles and measure_return_time.
 
@@ -135,68 +158,100 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     its arrival starts. start = k >= 1 runs drains from level k whose job in
     service has residual s (a fresh draw when s = 0); their time counts from
     0 and their occupations accumulate like a cycle's.
+
+    Up to LANES excursions run in lockstep, one event per lane per numpy
+    step. Exactly n are started, from a pool: a lane whose excursion ends
+    takes the next one while any is left, and every excursion started runs
+    to its end or to the time cap, so the long ones are never cut off. Each
+    lane keeps its time per level in one column of occ, whose rows reach
+    only as deep as any lane has gone, with every level above k_max in one
+    shared row. All draws come from one PCG64 stream seeded from rng (a
+    shard's derived stream), so results depend on LANES as on the shard count.
     """
-    k_max = env.k_max
-    rates = [effective_arrival_rate(env, z, alpha, D) for z in range(k_max + 2)]
-    rate_beyond = rates.pop()  # every level above k_max: alpha at D = 1, else 0
+    top = env.k_max + 1  # the shared row of every level above k_max
+    p = env.p + (0.0, 0.0)
+    with np.errstate(divide="ignore"):  # inf where no arrival is admitted
+        mean_gap = 1.0 / np.array([_admitted(p[z], p[z + 1], alpha, D) for z in range(top + 1)])
     draw = make_sampler(service_spec)
-    expovariate = rng.expovariate
-
-    stats = CycleStats(k_max=k_max)
-    n_levels = k_max + 1
-    v = stats.v
-    v2 = stats.v2
-    vt = stats.vt
-    v_at = [0.0] * max(256, start + 1)  # time at exactly level z within the current cycle
-    inf = math.inf
+    gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
     z0 = start or 1  # level at which each excursion starts
+    m = started = min(n, LANES)  # lanes in flight, excursions started
+    lanes = _LaneDraws(gen, m)
+    slot = np.arange(m)  # each lane's column in occ
+    z = np.full(m, z0)
+    peak = z.copy()
+    t = np.zeros(m) if start else gen.standard_exponential(m) * mean_gap[0]
+    s_rem = np.full(m, s) if s else np.broadcast_to(draw(lanes), m).copy()
+    occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: time at level this excursion
+    stats = CycleStats(k_max=env.k_max)
+    v, v2, vt = np.zeros((3, top + 1))
+    deepest = np.zeros(top + 1, dtype=np.int64)  # completed excursions by deepest row
+    retired = []  # (slot, length, peak) of completed excursions whose lane then stopped
 
-    for _ in range(n):
-        t = 0.0 if start else expovariate(rates[0])  # idle wait; rates[0] > 0 since p[0] = 1
-        z = max_z = z0
-        s_rem = s or draw(rng)
-        aborted = False
-        while z:
-            rate = rates[z] if z <= k_max else rate_beyond
-            t_arr = expovariate(rate) if rate > 0.0 else inf
-            if t_arr < s_rem:
-                if z >= len(v_at):
-                    v_at.extend([0.0] * len(v_at))
-                v_at[z] += t_arr
-                t += t_arr
-                s_rem -= t_arr
-                z += 1
-                if z > max_z:
-                    max_z = z
-            else:
-                v_at[z] += s_rem
-                t += s_rem
-                z -= 1
-                if z:
-                    s_rem = draw(rng)
-            if t > time_cap:
-                aborted = True
-                break
-        if aborted:
-            stats.n_aborted += 1
-            for zz in range(1, min(max_z, len(v_at) - 1) + 1):
-                v_at[zz] = 0.0
-            continue
-        stats.n_cycles += 1
-        stats.total_time += t
-        stats.t2 += t * t
-        if t > stats.nu_max:
-            stats.nu_max = t
-        if max_z > stats.max_level:
-            stats.max_level = max_z
-        running = 0.0
-        for zz in range(max_z, 0, -1):
-            running += v_at[zz]
-            v_at[zz] = 0.0
-            if zz < n_levels:
-                v[zz] += running
-                v2[zz] += running * running
-                vt[zz] += running * t
+    def flush(cols, td, deep):
+        """Add the completed excursions in occ's columns cols to the sums, and clear them."""
+        stats.n_cycles += len(td)
+        stats.total_time += float(td.sum())
+        stats.t2 += float((td * td).sum())
+        stats.nu_max = max(stats.nu_max, float(td.max(initial=0.0)))
+        deepest[:] += np.bincount(np.minimum(deep, top), minlength=top + 1)
+        for sel in (deep <= SHALLOW, deep > SHALLOW):  # most are shallow: sum those at a narrow width
+            if sel.any():
+                c, tc = cols[sel], td[sel]
+                hi = int(deep[sel].max())
+                stats.max_level = max(stats.max_level, hi)
+                w = min(hi, top) + 1
+                above = occ[w - 1 : 0 : -1, c].cumsum(axis=0)[::-1]  # row j: time at >= j + 1
+                occ[1:w, c] = 0.0
+                v[1:w] += above.sum(axis=1)
+                v2[1:w] += (above * above).sum(axis=1)
+                vt[1:w] += (above * tc).sum(axis=1)
+
+    with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
+        while m:
+            level = np.minimum(z, top)
+            gap = gen.standard_exponential(m) * mean_gap[level]
+            arrive = gap < s_rem
+            dt = np.where(arrive, gap, s_rem)
+            occ[level, slot] += dt
+            t += dt
+            z += np.where(arrive, 1, -1)
+            fresh = draw(lanes)
+            s_rem = np.where(arrive, s_rem - dt, fresh)  # after a departure, the next job's service
+            np.maximum(peak, z, out=peak)
+            if len(occ) <= top and z.max() >= len(occ):
+                occ = np.concatenate((occ, np.zeros_like(occ)))[: top + 1]
+            over = t > time_cap
+            ended = ((z == 0) | over).nonzero()[0]
+            if not ended.size:
+                continue
+            ok = ~over[ended]
+            if not ok.all():
+                cut = ended[~ok]
+                stats.n_aborted += cut.size
+                occ[:, slot[cut]] = 0.0
+                s_rem[cut] = np.broadcast_to(fresh, m)[cut]
+            again = ended[: n - started]  # lanes that start the next excursions
+            if again.size:
+                done = again[ok[: again.size]]
+                flush(slot[done], t[done], peak[done])
+                started += again.size
+                z[again] = peak[again] = z0
+                t[again] = 0.0 if start else gen.standard_exponential(again.size) * mean_gap[0]
+                if s:
+                    s_rem[again] = s
+            if again.size < ended.size:  # the pool is empty: stop the other lanes
+                gone = ended[again.size :]
+                done = gone[ok[again.size :]]
+                retired.append((slot[done], t[done], peak[done]))
+                keep = np.ones(m, dtype=bool)
+                keep[gone] = False
+                z, peak, t, s_rem, slot = z[keep], peak[keep], t[keep], s_rem[keep], slot[keep]
+                m = lanes.size = len(z)
+    if retired:
+        flush(*(np.concatenate(x) for x in zip(*retired)))
+    stats.v, stats.v2, stats.vt = v[:top].tolist(), v2[:top].tolist(), vt[:top].tolist()
+    stats.reached = deepest[::-1].cumsum()[::-1][:top].tolist()
     return stats
 
 

@@ -18,8 +18,10 @@ offered too, but its hazard is not monotone at s_min (it jumps from 0 to
 beta/s_min), which callers can detect through ``decreasing_hazard``.
 
 Sampling is by inverse transform of the survival function, so each draw is a
-deterministic function of a single uniform variate: pass any object with a
-``random()`` method (``random.Random`` or ``numpy.random.Generator``).
+deterministic function of a single uniform variate. A sampler draws only
+through its argument's ``random()`` and ``expovariate(1.0)``: pass a
+``random.Random`` for one draw, or the cavity kernel's lane block, whose
+methods return one array of draws for every lane.
 
 Closed forms are fixed on the whole half-line, not just for large s; this is
 strictly stronger than only prescribing the far tail and is relied on by the
@@ -139,14 +141,13 @@ def make_sampler(spec: ServiceDistributionSpec) -> Callable:
 
     The returned closure consumes exactly one uniform variate per draw,
     mapping u = 1 - rng.random() (uniform on (0, 1]) through the inverse of
-    the survival function.
+    the survival function; expovariate(1.0) is -log(1 - rng.random()).
     """
     k = spec.kind
     if k == "exponential":
-        log = math.log
 
         def draw(rng):
-            return -log(1.0 - rng.random())
+            return rng.expovariate(1.0)
 
     elif k == "lomax":
         sigma = spec.sigma

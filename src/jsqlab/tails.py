@@ -14,6 +14,7 @@ standard error of a mean of n batch or replication means on the network.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,7 @@ def _t_coverage(t: float, df: int) -> float:
     return s * total
 
 
+@functools.cache  # a run asks for a few df values, once per level and batch
 def t95(df: int) -> float:
     """Student-t 0.975 quantile for integer df >= 1, where the two-sided coverage reaches 0.95.
 

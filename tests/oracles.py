@@ -1,10 +1,24 @@
 """Independent oracles shared by the test modules."""
 
 import math
+import random
 
 import numpy as np
 
-from jsqlab import TailVector
+from jsqlab import TailVector, effective_arrival_rate
+from jsqlab.service_dist import make_sampler
+
+
+class FixedU(random.Random):
+    """Stub stream returning preset uniforms; random.Random's own methods,
+    expovariate among them, draw through them."""
+
+    def __init__(self, values):
+        super().__init__()
+        self._it = iter(values)
+
+    def random(self):
+        return next(self._it)
 
 
 def mc_arrival_oracle(env: TailVector, k: int, alpha: float, D: int, n: int, seed: int):
@@ -20,3 +34,34 @@ def mc_arrival_oracle(env: TailVector, k: int, alpha: float, D: int, n: int, see
     p_hat = join.mean()
     se = join.std(ddof=1) / math.sqrt(n)
     return D * alpha * p_hat, D * alpha * se
+
+
+def reference_cycles(env: TailVector, spec, alpha: float, D: int, n: int, rng):
+    """n regeneration cycles of the cavity queue, one scalar event at a time.
+
+    The lane kernel's reference: same law, none of its code. Returns each
+    cycle's length and the deepest level it reached.
+    """
+    draw = make_sampler(spec)
+    rates = [effective_arrival_rate(env, z, alpha, D) for z in range(env.k_max + 2)]
+    top = env.k_max + 1
+    lengths, peaks = [], []
+    for _ in range(n):
+        t = rng.expovariate(rates[0])
+        z = peak = 1
+        s = draw(rng)
+        while z:
+            rate = rates[min(z, top)]
+            gap = rng.expovariate(rate) if rate > 0.0 else math.inf
+            if gap < s:
+                t += gap
+                s -= gap
+                z += 1
+                peak = max(peak, z)
+            else:
+                t += s
+                z -= 1
+                s = draw(rng)
+        lengths.append(t)
+        peaks.append(peak)
+    return lengths, peaks

@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsqlab import (
+    KINDS,
     ConfigError,
     CycleRunawayError,
     CycleStats,
@@ -24,7 +26,9 @@ from jsqlab import (
     vdk_tail,
 )
 
-from oracles import mc_arrival_oracle
+from jsqlab.cavity import LANES, _LaneDraws
+from jsqlab.service_dist import make_sampler
+from oracles import FixedU, mc_arrival_oracle, reference_cycles
 
 EMPTY_ABOVE_0 = TailVector((1.0,) + (0.0,) * 8)
 EXP = make_spec("exponential")
@@ -146,6 +150,98 @@ class TestSimulateCycles:
         assert stats.n_aborted > 0
         with pytest.raises(CycleRunawayError):
             tail_from_cycles(stats)
+
+
+class TestLaneKernel:
+    @pytest.mark.parametrize("n, seed", [(200_000, 31), (LANES // 3, 32)])
+    def test_single_choice_is_mm1(self, n, seed):
+        # D = 1 ignores the environment: M/M/1 at load alpha, p[k] = alpha**k exactly
+        stats = simulate_cycles(TailVector.geometric(0.5, 6), EXP, 0.5, 1, n, random.Random(seed))
+        est = tail_from_cycles(stats)
+        for k in range(1, 5):
+            assert abs(est.p[k] - 0.5**k) <= 3 * est.ci[k]
+
+    def test_cycles_in_flight_are_kept(self):
+        # 64 calls of 2 * LANES cycles: a kernel that stopped at the first n
+        # completions would drop about LANES long cycles per call
+        env = TailVector.geometric(0.5, 6)
+        stats = simulate_cycles_sharded(env, EXP, 0.5, 1, 128 * LANES, 34, shards=64)
+        est = tail_from_cycles(stats)
+        for k in range(1, 5):
+            assert abs(est.p[k] - 0.5**k) <= 3 * est.ci[k]
+
+    @pytest.mark.parametrize("n", [1, 7, LANES, LANES + 1, 5000])
+    def test_every_started_cycle_is_counted(self, n):
+        spec = make_spec("lomax", 1.4)
+        env = TailVector.geometric(0.7, 16)
+        stats = simulate_cycles(env, spec, 0.7, 2, n, random.Random(n))
+        assert stats.n_cycles + stats.n_aborted == n
+        assert stats.reached[0] == stats.n_cycles
+        capped = simulate_cycles(env, spec, 0.7, 2, n, random.Random(n), time_cap=3.0)
+        assert capped.n_cycles + capped.n_aborted == n
+        if n == 5000:
+            assert 0 < capped.n_aborted < n
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lane_draws_match_scalar_draws(self, kind):
+        # the same uniforms through the lane block and through random.Random, one at a time
+        spec = make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None)
+        u = np.random.default_rng(5).random(10_000)
+        u[:3] = (0.0, 1e-12, 1.0 - 2.0**-53)
+
+        class Uniforms:
+            def random(self, size):
+                assert size == len(u)
+                return u
+
+        draw = make_sampler(spec)
+        block = np.broadcast_to(draw(_LaneDraws(Uniforms(), len(u))), u.shape)
+        scalar = np.array([draw(FixedU([x])) for x in u])
+        # lomax subtracts sigma from sigma * (1 - u)**(-1/beta): an ulp of the
+        # power, numpy's or libm's, is an ulp of the draw plus sigma
+        scale = np.abs(scalar) + (spec.sigma if kind == "lomax" else 0.0)
+        assert np.all(np.abs(block - scalar) <= 4e-16 * scale)
+
+    def test_climbs_past_row_width_and_k_max(self):
+        # D = 1 admits arrivals at every level, so cycles climb past the
+        # initial occupancy rows (18) and into the shared row above k_max = 20;
+        # the time up there still counts at every level below, p[k] = 0.9**k
+        stats = simulate_cycles(TailVector.geometric(0.9, 20), EXP, 0.9, 1, 20_000, random.Random(33))
+        assert stats.max_level > 22
+        assert stats.total_time >= stats.v[1]
+        assert all(a >= b for a, b in zip(stats.v[1:], stats.v[2:]))
+        assert all(a >= b for a, b in zip(stats.reached, stats.reached[1:]))
+        est = tail_from_cycles(stats)
+        for k in (1, 10, 18, 20):
+            assert abs(est.p[k] - 0.9**k) <= 3 * est.ci[k]
+
+    def test_drain_climbs_past_256_levels(self):
+        # D = 1, exponential: a drain from level k with a fresh service is k
+        # M/M/1 busy periods, mean k/(1 - alpha); from 250 at alpha = 0.9
+        # most drains pass level 256
+        env = TailVector.geometric(0.9, 20)
+        mean, half = measure_return_time(env, EXP, 0.9, 1, 250, 0.0, 400, random.Random(35))
+        assert abs(mean - 250 / (1 - 0.9)) <= 3 * half
+
+    @pytest.mark.slow
+    def test_cycle_law_matches_scalar_reference(self):
+        # lomax 1.4 (power-law regime), D = 2, alpha = 0.7, env 0.85**k; seeds
+        # pinned before any result was seen. The cycle length has infinite
+        # variance, so its sample variances only make the 4 sigma band loose.
+        env = TailVector.geometric(0.85, 128)
+        spec = make_spec("lomax", 1.4)
+        n = 1_000_000
+        lengths, peaks = reference_cycles(env, spec, 0.7, 2, n, random.Random(14))
+        stats = simulate_cycles(env, spec, 0.7, 2, n, random.Random(15))
+        assert stats.n_cycles == n
+        for k in (10, 20):
+            ref = sum(p >= k for p in peaks)
+            q = (ref + stats.reached[k]) / (2 * n)
+            assert abs(stats.reached[k] - ref) <= 4 * math.sqrt(2 * n * q * (1 - q)), k
+        mean = stats.total_time / n
+        var = stats.t2 / n - mean * mean
+        ref_mean = statistics.fmean(lengths)
+        assert abs(mean - ref_mean) <= 4 * math.sqrt((var + statistics.pvariance(lengths)) / n)
 
 
 class TestTailFromCycles:

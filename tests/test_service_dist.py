@@ -12,15 +12,7 @@ from jsqlab import ConfigError, cdf, log_tail, make_sampler, make_spec, tail
 from jsqlab.config import echo, read_config
 from jsqlab.service_dist import KINDS, ServiceDistributionSpec
 
-
-class FixedU:
-    """Stub stream returning preset uniforms."""
-
-    def __init__(self, values):
-        self._it = iter(values)
-
-    def random(self):
-        return next(self._it)
+from oracles import FixedU
 
 
 def all_specs():
@@ -150,6 +142,12 @@ class TestTail:
 class TestSampling:
     def test_deterministic_point_mass(self):
         assert make_sampler(make_spec("deterministic"))(random.Random(1)) == 1.0
+
+    def test_exponential_draw_is_expovariate(self):
+        # rng.expovariate(1.0) is the old -log(1 - rng.random()), double for double
+        a, b = random.Random(3), random.Random(3)
+        draw = make_sampler(make_spec("exponential"))
+        assert all(draw(a) == -math.log(1.0 - b.random()) for _ in range(100_000))
 
     def test_exponential_inverse_transform_of_one_uniform(self):
         # the draw is a deterministic function of a single uniform variate
