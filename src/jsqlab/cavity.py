@@ -37,7 +37,6 @@ from .service_dist import ServiceDistributionSpec, make_sampler
 from .tails import Z95, TailEstimate, TailVector, enforce_monotone
 
 DEFAULT_TIME_CAP = 1e6
-LOG_FLOOR = 1e-300
 DEFAULT_SHARDS = 16
 LANES = 1024  # excursions in flight per kernel call
 SHALLOW = 6  # deepest level of the excursions the kernel sums at one narrow width
@@ -381,24 +380,19 @@ class FixedPointReport:
 
 
 def _damped_update(old: TailVector, new_p: list, lam: float) -> list:
-    """Geometric (log-space) damping: p <- p_old**(1-lam) * p_new**lam.
+    """Linear damping: p <- (1 - lam) * p_old + lam * p_new.
 
-    Damping only blends levels that are positive on both sides; a level that
-    just became visited (old = 0) or just lost all visits (new = 0) takes the
-    fresh estimate outright, so the tail frontier is never frozen by the
-    log-space floor.
+    A level the fresh estimate missed keeps (1 - lam) of its old value rather
+    than dropping to 0: a cavity queue at level z is admitted arrivals only
+    while p[z] > 0, so a zero would cap the next iterate's reach at the
+    deepest level just visited. Blending two monotone tails gives a monotone
+    tail. Averaging the estimates, not their logarithms, keeps the skewed
+    deep-level ratios from being pulled low: a mean of logs sits below the
+    log of the mean.
     """
     if lam >= 1.0:
         return list(new_p)
-    out = [1.0]
-    for k in range(1, len(new_p)):
-        a = old.value(k)
-        b = new_p[k]
-        if a <= LOG_FLOOR or b <= LOG_FLOOR:
-            out.append(b)
-        else:
-            out.append(math.exp((1.0 - lam) * math.log(a) + lam * math.log(b)))
-    return out
+    return [1.0] + [(1.0 - lam) * old.value(k) + lam * new_p[k] for k in range(1, len(new_p))]
 
 
 def fixed_point(
@@ -442,9 +436,6 @@ def fixed_point(
         estimate = tail_from_cycles(stats)
         max_level = max(max_level, stats.max_level)
         new_p = _damped_update(env, estimate.p, controls.damping)
-        # blending a damped level against a fresh neighbour can break
-        # monotonicity at the tail frontier; clip downward
-        new_p, _ = enforce_monotone(new_p)
         dist = 0.0
         monitored = 0
         for k in range(1, controls.k_max + 1):

@@ -360,15 +360,17 @@ class TestFixedPoint:
         with pytest.raises(ConfigError):
             FixedPointControls(shards=shards)
 
-    def test_damped_update_is_geometric_mean(self):
-        controls = FixedPointControls(k_max=6, cycles_per_iter=4000, seed=5, max_iter=1, damping=0.5)
+    def test_damped_update_is_linear_blend(self):
+        # 4000 cycles at alpha = 0.5 never reach level 12: those levels keep
+        # half their start value instead of dropping to 0
+        controls = FixedPointControls(k_max=12, cycles_per_iter=4000, seed=5, max_iter=1, damping=0.5)
         rep = fixed_point(EXP, 0.5, 2, controls)
         est = rep.estimate
-        start = TailVector.geometric(0.5, 6)
-        for k in range(1, 7):
-            if est.p[k] > 0:
-                expect = math.exp(0.5 * math.log(start.p[k]) + 0.5 * math.log(est.p[k]))
-                assert rep.env.p[k] == pytest.approx(min(expect, rep.env.p[k - 1]), rel=1e-9)
+        start = TailVector.geometric(0.5, 12)
+        assert est.p[12] == 0.0
+        for k in range(1, 13):
+            assert rep.env.p[k] == pytest.approx(0.5 * start.p[k] + 0.5 * est.p[k], rel=1e-12)
+            assert 0.0 < rep.env.p[k] <= rep.env.p[k - 1]
 
 
 class TestReturnTime:
