@@ -39,7 +39,6 @@ from .tails import Z95, TailEstimate, TailVector, enforce_monotone
 DEFAULT_TIME_CAP = 1e6
 DEFAULT_SHARDS = 16
 LANES = 1024  # excursions in flight per kernel call
-SHALLOW = 6  # deepest level of the excursions the kernel sums at one narrow width
 
 
 def _check_alpha_d(alpha: float, D: int):
@@ -194,17 +193,14 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
         stats.t2 += float((td * td).sum())
         stats.nu_max = max(stats.nu_max, float(td.max(initial=0.0)))
         deepest[:] += np.bincount(np.minimum(deep, top), minlength=top + 1)
-        for sel in (deep <= SHALLOW, deep > SHALLOW):  # most are shallow: sum those at a narrow width
-            if sel.any():
-                c, tc = cols[sel], td[sel]
-                hi = int(deep[sel].max())
-                stats.max_level = max(stats.max_level, hi)
-                w = min(hi, top) + 1
-                above = occ[w - 1 : 0 : -1, c].cumsum(axis=0)[::-1]  # row j: time at >= j + 1
-                occ[1:w, c] = 0.0
-                v[1:w] += above.sum(axis=1)
-                v2[1:w] += (above * above).sum(axis=1)
-                vt[1:w] += (above * tc).sum(axis=1)
+        hi = int(deep.max(initial=0))
+        stats.max_level = max(stats.max_level, hi)
+        w = min(hi, top) + 1
+        above = occ[w - 1 : 0 : -1, cols].cumsum(axis=0)[::-1]  # row j: time at >= j + 1
+        occ[1:w, cols] = 0.0
+        v[1:w] += above.sum(axis=1)
+        v2[1:w] += (above * above).sum(axis=1)
+        vt[1:w] += (above * td).sum(axis=1)
 
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
         while m:
@@ -383,12 +379,10 @@ def _damped_update(old: TailVector, new_p: list, lam: float) -> list:
     """Linear damping: p <- (1 - lam) * p_old + lam * p_new.
 
     A level the fresh estimate missed keeps (1 - lam) of its old value rather
-    than dropping to 0: a cavity queue at level z is admitted arrivals only
-    while p[z] > 0, so a zero would cap the next iterate's reach at the
-    deepest level just visited. Blending two monotone tails gives a monotone
-    tail. Averaging the estimates, not their logarithms, keeps the skewed
-    deep-level ratios from being pulled low: a mean of logs sits below the
-    log of the mean.
+    than dropping to 0. Blending two monotone tails gives a monotone tail.
+    From above, the blend closes a fixed fraction of the gap per iteration,
+    not of the log gap, so it reaches a deep level's fixed point more slowly
+    than a log-space blend would.
     """
     if lam >= 1.0:
         return list(new_p)
