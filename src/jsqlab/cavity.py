@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, CycleRunawayError
 from .seeding import check_seed, derive_stream
 from .service_dist import ServiceDistributionSpec, make_sampler
-from .tails import Z95, TailEstimate, TailVector, enforce_monotone
+from .tails import Z95, TailEstimate, TailVector
 
 DEFAULT_TIME_CAP = 1e6
 DEFAULT_SHARDS = 16
@@ -79,7 +79,10 @@ def _admitted(q: float, r: float, alpha: float, D: int) -> float:
 
 @dataclass
 class CycleStats:
-    """Regenerative-cycle accumulators; shards merge by elementwise addition."""
+    """Regenerative-cycle accumulators; shards merge by elementwise addition.
+
+    The per-level sums v, v2 and vt are float arrays indexed by level 0..k_max.
+    """
 
     k_max: int
     n_cycles: int = 0
@@ -88,17 +91,13 @@ class CycleStats:
     nu_max: float = 0.0  # longest observed cycle
     max_level: int = 0  # deepest level visited in any cycle
     n_aborted: int = 0  # cycles that hit the time cap (estimates invalid if > 0)
-    v: list = None  # summed occupation time with >= k jobs
-    v2: list = None  # sum of squared per-cycle occupations
-    vt: list = None  # sum of occupation * cycle length
-    reached: list = None  # completed cycles that reached level >= k
+    v: np.ndarray = None  # summed occupation time with >= k jobs
+    v2: np.ndarray = None  # sum of squared per-cycle occupations
+    vt: np.ndarray = None  # sum of occupation * cycle length
 
     def __post_init__(self):
         if self.v is None:
-            self.v = [0.0] * (self.k_max + 1)
-            self.v2 = [0.0] * (self.k_max + 1)
-            self.vt = [0.0] * (self.k_max + 1)
-            self.reached = [0] * (self.k_max + 1)
+            self.v, self.v2, self.vt = np.zeros((3, self.k_max + 1))
 
     def merge(self, other: "CycleStats") -> "CycleStats":
         if other.k_max != self.k_max:
@@ -109,8 +108,9 @@ class CycleStats:
         self.nu_max = max(self.nu_max, other.nu_max)
         self.max_level = max(self.max_level, other.max_level)
         self.n_aborted += other.n_aborted
-        for name in ("v", "v2", "vt", "reached"):
-            setattr(self, name, [a + b for a, b in zip(getattr(self, name), getattr(other, name))])
+        self.v += other.v
+        self.v2 += other.v2
+        self.vt += other.vt
         return self
 
 
@@ -181,9 +181,8 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     t = np.zeros(m) if start else gen.standard_exponential(m) * mean_gap[0]
     s_rem = np.full(m, s) if s else np.broadcast_to(draw(lanes), m).copy()
     occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: time at level this excursion
-    stats = CycleStats(k_max=env.k_max)
-    v, v2, vt = np.zeros((3, top + 1))
-    deepest = np.zeros(top + 1, dtype=np.int64)  # completed excursions by deepest row
+    v, v2, vt = np.zeros((3, top + 1))  # the per-level sums, with the shared row above k_max
+    stats = CycleStats(k_max=env.k_max, v=v[:top], v2=v2[:top], vt=vt[:top])
     retired = []  # (slot, length, peak) of completed excursions whose lane then stopped
 
     def flush(cols, td, deep):
@@ -192,7 +191,6 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
         stats.total_time += float(td.sum())
         stats.t2 += float((td * td).sum())
         stats.nu_max = max(stats.nu_max, float(td.max(initial=0.0)))
-        deepest[:] += np.bincount(np.minimum(deep, top), minlength=top + 1)
         hi = int(deep.max(initial=0))
         stats.max_level = max(stats.max_level, hi)
         w = min(hi, top) + 1
@@ -245,8 +243,6 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
                 m = lanes.size = len(z)
     if retired:
         flush(*(np.concatenate(x) for x in zip(*retired)))
-    stats.v, stats.v2, stats.vt = v[:top].tolist(), v2[:top].tolist(), vt[:top].tolist()
-    stats.reached = deepest[::-1].cumsum()[::-1][:top].tolist()
     return stats
 
 
@@ -263,21 +259,18 @@ def simulate_cycles_sharded(
     time_cap: float = DEFAULT_TIME_CAP,
     map_fn=map,
 ) -> CycleStats:
-    """Split n_cycles over a fixed shard count and merge by summation.
+    """Split n_cycles as evenly as possible over a fixed shard count and merge by summation.
 
     The shard count, not the worker count, determines the random streams, so
     any map_fn (serial map, pool.map, ...) produces identical results.
     """
     if n_cycles < 1:
         raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
-    shards = max(1, min(shards, n_cycles))
-    per = [n_cycles // shards] * shards
-    for i in range(n_cycles % shards):
-        per[i] += 1
+    shards = max(1, min(shards, n_cycles))  # so every shard runs at least one cycle
     jobs = [
-        (env, service_spec, alpha, D, per[i], derive_stream(base_seed, *seed_key, i), time_cap)
+        (env, service_spec, alpha, D, n_cycles // shards + (i < n_cycles % shards),
+         derive_stream(base_seed, *seed_key, i), time_cap)
         for i in range(shards)
-        if per[i] > 0
     ]
     merged = CycleStats(k_max=env.k_max)
     for shard_stats in map_fn(_run_shard, jobs):
@@ -295,9 +288,10 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
 
     For a level never visited, the interval is [0, upper] with the
     rule-of-three visit bound scaled by the worst-case cycle contribution:
-    p[k] <= (3/n) * nu_max / mean(nu). Monotonicity is enforced by isotonic
-    clipping and flagged, though the raw ratios are already monotone because
-    per-cycle occupations are.
+    p[k] <= (3/n) * nu_max / mean(nu). The tail needs no clipping, so clipped
+    stays False: a cycle's time at >= k is a reverse cumulative sum of
+    nonnegative times, and every rounded sum over cycles and the division by
+    one total keep that order, so p is nonincreasing as computed.
     """
     if stats.n_aborted:
         raise CycleRunawayError(
@@ -307,23 +301,14 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
         raise ConfigError(f"need at least 2 completed cycles, got {stats.n_cycles}")
     n = stats.n_cycles
     mean_nu = stats.total_time / n
-    p = [1.0]
-    ci = [0.0]
     three_bound = 3.0 / n * (stats.nu_max / mean_nu)
-    for k in range(1, stats.k_max + 1):
-        if stats.v[k] == 0.0:
-            p.append(0.0)
-            ci.append(min(1.0, three_bound))
-            continue
-        r = stats.v[k] / stats.total_time
-        # Var of the per-cycle residual V - r*nu, from the accumulated moments
-        ss = stats.v2[k] - 2.0 * r * stats.vt[k] + r * r * stats.t2
-        var = max(ss, 0.0) / (n - 1)
-        half = Z95 * math.sqrt(var / n) / mean_nu
-        p.append(min(r, 1.0))
-        ci.append(half)
-    p, clipped = enforce_monotone(p)
-    return TailEstimate(p=p, ci=ci, clipped=clipped)
+    v = stats.v[1:]
+    r = v / stats.total_time
+    # Var of the per-cycle residual V - r*nu, from the accumulated moments
+    ss = stats.v2[1:] - 2.0 * r * stats.vt[1:] + r * r * stats.t2
+    half = Z95 * np.sqrt(np.maximum(ss, 0.0) / (n - 1) / n) / mean_nu
+    ci = np.where(v == 0.0, min(1.0, three_bound), half)
+    return TailEstimate(p=[1.0, *np.minimum(r, 1.0)], ci=[0.0, *ci])
 
 
 @dataclass(frozen=True)
@@ -375,8 +360,8 @@ class FixedPointReport:
     max_level: int = 0
 
 
-def _damped_update(old: TailVector, new_p: list, lam: float) -> list:
-    """Linear damping: p <- (1 - lam) * p_old + lam * p_new.
+def _damped_update(old: TailVector, new_p: list, lam: float) -> np.ndarray:
+    """Linear damping: p <- (1 - lam) * p_old + lam * p_new, exactly p_new at lam = 1.
 
     A level the fresh estimate missed keeps (1 - lam) of its old value rather
     than dropping to 0. Blending two monotone tails gives a monotone tail.
@@ -384,9 +369,9 @@ def _damped_update(old: TailVector, new_p: list, lam: float) -> list:
     not of the log gap, so it reaches a deep level's fixed point more slowly
     than a log-space blend would.
     """
-    if lam >= 1.0:
-        return list(new_p)
-    return [1.0] + [(1.0 - lam) * old.value(k) + lam * new_p[k] for k in range(1, len(new_p))]
+    p = (1.0 - lam) * np.array(old.p) + lam * np.array(new_p)
+    p[0] = 1.0
+    return p
 
 
 def fixed_point(
@@ -412,7 +397,6 @@ def fixed_point(
     env = TailVector.geometric(alpha, controls.k_max)
     distances: list = []
     estimate = None
-    converged = False
     max_level = 0
     for it in range(controls.max_iter):
         stats = simulate_cycles_sharded(
@@ -430,28 +414,19 @@ def fixed_point(
         estimate = tail_from_cycles(stats)
         max_level = max(max_level, stats.max_level)
         new_p = _damped_update(env, estimate.p, controls.damping)
-        dist = 0.0
-        monitored = 0
-        for k in range(1, controls.k_max + 1):
-            pk = estimate.p[k]
-            if pk <= 0.0 or env.value(k) <= 0.0:
-                continue
-            if estimate.ci[k] > controls.noise_rel * pk:
-                continue
-            monitored += 1
-            d = abs(math.log(new_p[k]) - math.log(env.value(k)))
-            if d > dist:
-                dist = d
-        distances.append(dist if monitored else math.inf)
+        p, ci = estimate.p, estimate.ci
+        monitored = [k for k in range(1, controls.k_max + 1)
+                     if p[k] > 0.0 and env.p[k] > 0.0 and ci[k] <= controls.noise_rel * p[k]]
+        # math.log, not np.log: the distances are written out and must not move by an ulp
+        distances.append(max((abs(math.log(new_p[k]) - math.log(env.p[k])) for k in monitored), default=math.inf))
         env = TailVector(tuple(new_p))
-        if monitored and dist < controls.tol:
-            converged = True
+        if distances[-1] < controls.tol:
             break
     return FixedPointReport(
         env=env,
         estimate=estimate,
         distances=distances,
-        converged=converged,
+        converged=bool(distances) and distances[-1] < controls.tol,
         max_level=max_level,
     )
 

@@ -36,32 +36,36 @@ def mc_arrival_oracle(env: TailVector, k: int, alpha: float, D: int, n: int, see
     return D * alpha * p_hat, D * alpha * se
 
 
-def reference_cycles(env: TailVector, spec, alpha: float, D: int, n: int, rng):
+def reference_cycles(env: TailVector, spec, alpha: float, D: int, n: int, rng, levels):
     """n regeneration cycles of the cavity queue, one scalar event at a time.
 
     The lane kernel's reference: same law, none of its code. Returns each
-    cycle's length and the deepest level it reached.
+    cycle's length and, for each k in levels, each cycle's time with >= k jobs.
     """
     draw = make_sampler(spec)
     rates = [effective_arrival_rate(env, z, alpha, D) for z in range(env.k_max + 2)]
     top = env.k_max + 1
-    lengths, peaks = [], []
+    lengths, above = [], [[] for _ in levels]
     for _ in range(n):
         t = rng.expovariate(rates[0])
-        z = peak = 1
+        z = 1
         s = draw(rng)
+        occ = [0.0] * len(levels)
         while z:
             rate = rates[min(z, top)]
             gap = rng.expovariate(rate) if rate > 0.0 else math.inf
+            dt = gap if gap < s else s
+            t += dt
+            for i, k in enumerate(levels):
+                if z >= k:
+                    occ[i] += dt
             if gap < s:
-                t += gap
                 s -= gap
                 z += 1
-                peak = max(peak, z)
             else:
-                t += s
                 z -= 1
                 s = draw(rng)
         lengths.append(t)
-        peaks.append(peak)
-    return lengths, peaks
+        for times, x in zip(above, occ):
+            times.append(x)
+    return lengths, above
