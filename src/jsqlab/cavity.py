@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, CycleRunawayError
 from .seeding import check_seed, derive_stream
-from .service_dist import ServiceDistributionSpec, make_sampler
+from .service_dist import BlockDraws, ServiceDistributionSpec, make_sampler
 from .tails import Z95, TailEstimate, TailVector
 
 DEFAULT_TIME_CAP = 1e6
@@ -136,19 +136,6 @@ def simulate_cycles(
     return _excursions(env, service_spec, alpha, D, n_cycles, rng, time_cap)
 
 
-class _LaneDraws:
-    """random.Random's two draws for a service sampler, an array per call: one draw per lane in flight."""
-
-    def __init__(self, gen, size: int):
-        self.gen, self.size = gen, size
-
-    def random(self):
-        return self.gen.random(self.size)
-
-    def expovariate(self, lambd):
-        return -np.log(1.0 - self.random()) / lambd  # random.Random's formula
-
-
 def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -> CycleStats:
     """The excursion kernel behind simulate_cycles and measure_return_time.
 
@@ -174,7 +161,7 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
     z0 = start or 1  # level at which each excursion starts
     m = started = min(n, LANES)  # lanes in flight, excursions started
-    lanes = _LaneDraws(gen, m)
+    lanes = BlockDraws(gen, m)
     slot = np.arange(m)  # each lane's column in occ
     z = np.full(m, z0)
     peak = z.copy()

@@ -1,14 +1,15 @@
 """Discrete-event simulation of the N-queue join-shortest-of-D FIFO network.
 
 Jobs arrive in one global Poisson stream of rate alpha*N; each arrival
-samples D distinct queues uniformly (partial Fisher-Yates over a persistent
-index array), joins a shortest one among them with uniform tie split, and is
-served FIFO at rate 1. Tail jobs carry nothing; a service time is drawn when
-a job reaches the head, so the event calendar needs no cancellations: a
+samples a uniformly ordered row of D distinct queues and joins its first
+shortest queue, a uniform tie split with no tie draw and no persistent
+Fisher-Yates array. Service is FIFO at rate 1 and a service time is drawn
+when a job reaches the head, so the calendar needs no cancellations: a
 completion is scheduled only when a queue turns busy or a successor starts
-service. A queue therefore has at most one completion pending, so the
-calendar is keyed on (time, queue) and the event sequence is a deterministic
-function of (config, seed).
+service, and with at most one pending per queue the calendar is keyed on
+(time, queue). Gaps, rows and service times come from three PCG64 streams
+keyed (seed, 0, role), filled BLOCK values per numpy call; no value depends
+on BLOCK, so the events are a deterministic function of (config, seed) alone.
 
 The horizon is cut into windows: window 0 is the warm-up [0, t_w) and
 windows 1..n_batches tile [t_w, horizon]. The event loop runs once per
@@ -29,14 +30,17 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
+from itertools import chain
 
 import numpy as np
 
 from .errors import AuditFailure, ConfigError
-from .seeding import check_seed, derive_stream
-from .service_dist import ServiceDistributionSpec, make_sampler
+from .seeding import check_seed, derive_seed, derive_stream
+from .service_dist import BlockDraws, ServiceDistributionSpec, make_sampler
 from .tails import TailEstimate, enforce_monotone, t95
+
+BLOCK = 1024  # values per numpy fill of each random stream
 
 
 @dataclass(frozen=True)
@@ -136,15 +140,31 @@ def check_pair_level(config: NetworkConfig, k) -> None:
         raise ConfigError(f"pair level must be an integer in [1, k_max={config.k_max}], got {k!r}")
 
 
+def sample_rows(gen, N: int, D: int, size: int) -> np.ndarray:
+    """``size`` uniformly ordered rows of D distinct queues in 0..N-1.
+
+    Draw i, floor(u*(N-i)), steps past each earlier pick in increasing order.
+    """
+    rows = (gen.random((size, D)) * (N - np.arange(D))).astype(np.intp)
+    for i in range(1, D):
+        x = rows[:, i]  # a view: the steps land in rows
+        for pick in np.sort(rows[:, :i], axis=1).T:
+            x += x >= pick
+    return rows
+
+
+def _reader(fill):
+    """One value per call from the lists ``fill()`` returns: a Python call per list, not per value."""
+    return chain.from_iterable(iter(fill, None)).__next__
+
+
 def run_network(config: NetworkConfig, *, relabel: list | None = None,
                 pair_level: int | None = None) -> NetworkRun:
     """Simulate the network and return the batch-means tail estimate.
 
-    ``relabel`` is the initial content of the persistent Fisher-Yates
-    array, so every sampled queue is mapped through it; sampling swaps
-    positions only, so the draws are unchanged and only the queues' names
-    differ. An exchangeability diagnostic: summary statistics must be
-    unchanged.
+    ``relabel`` maps every sampled queue q to ``relabel[q]``, so the draws
+    are unchanged and only the queues' names differ. An exchangeability
+    diagnostic: summary statistics must be unchanged.
     ``pair_level`` also tracks the two-queue covariance at that level in the
     same pass (see ``pair_dependence``); it consumes no randomness.
     """
@@ -152,13 +172,15 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
         check_pair_level(config, pair_level)
     if relabel is not None and sorted(relabel) != list(range(config.N)):
         raise ConfigError("relabel must be a permutation of range(N)")
-    perm = list(relabel) if relabel is not None else list(range(config.N))
+    names = np.asarray(relabel if relabel is not None else range(config.N))
     N, D, alpha, k_max = config.N, config.D, config.alpha, config.k_max
     nb = config.n_batches
-    rng = derive_stream(config.seed, 0)
+    gap_gen, row_gen, svc_gen = (np.random.default_rng(derive_seed(config.seed, 0, role)) for role in range(3))
+    rate_in = alpha * N
     draw = make_sampler(config.service)
-    rnd = rng.random
-    expovariate = rng.expovariate
+    gap = _reader(lambda: (gap_gen.standard_exponential(BLOCK) / rate_in).tolist())
+    sample = _reader(lambda: names[sample_rows(row_gen, N, D, BLOCK)].tolist())
+    service = _reader(lambda: np.broadcast_to(draw(BlockDraws(svc_gen, BLOCK)), BLOCK).tolist())
     pair_at = pair_level or 0  # level 0 never changes, so 0 disables the tracker
 
     # window b ends at ends[b]: window 0 is the warm-up, 1..nb the batches
@@ -168,6 +190,7 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
     ends[-1] = config.horizon
 
     lengths = [0] * N
+    length_of = lengths.__getitem__
     heap: list = []  # (completion time, queue): a queue has at most one pending
 
     c_cur = [0] * (k_max + 1)  # level counts, index 1..k_max
@@ -177,8 +200,7 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
     arrivals = 0
     departures = 0
     beyond = 0  # arrivals that took a queue past k_max
-    rate_in = alpha * N
-    next_arrival = expovariate(rate_in) if rate_in > 0.0 else math.inf
+    next_arrival = gap() if rate_in > 0.0 else math.inf
 
     wall0 = _time.perf_counter()
 
@@ -198,7 +220,6 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
                 t, qi = heap[0]
                 if t >= t1:
                     break
-                heappop(heap)
                 departures += 1
                 z = lengths[qi]
                 lengths[qi] = z - 1
@@ -211,41 +232,17 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
                         cc_net += df
                         cc_sum_t += df * t
                 if z > 1:
-                    heappush(heap, (t + draw(rng), qi))
+                    heapreplace(heap, (t + service(), qi))
+                else:
+                    heappop(heap)
             else:
                 t = next_arrival
                 if t >= t1:
                     break
                 arrivals += 1
-                next_arrival = t + expovariate(rate_in)
-                # sample D distinct queues: partial Fisher-Yates on the persistent array
-                if D == 1:
-                    chosen = perm[int(rnd() * N)]
-                else:
-                    for i in range(D):
-                        j = i + int(rnd() * (N - i))
-                        perm[i], perm[j] = perm[j], perm[i]
-                    chosen = perm[0]
-                    best = lengths[chosen]
-                    ties = 1
-                    for i in range(1, D):
-                        q = perm[i]
-                        L = lengths[q]
-                        if L < best:
-                            best = L
-                            chosen = q
-                            ties = 1
-                        elif L == best:
-                            ties += 1
-                    if ties > 1:
-                        pick = int(rnd() * ties)
-                        for i in range(D):
-                            q = perm[i]
-                            if lengths[q] == best:
-                                if pick == 0:
-                                    chosen = q
-                                    break
-                                pick -= 1
+                next_arrival = t + gap()
+                # the first shortest of a uniformly ordered row: a uniform tie split
+                chosen = min(sample(), key=length_of)
                 z = lengths[chosen]
                 lengths[chosen] = z + 1
                 lvl = z + 1
@@ -260,7 +257,7 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
                 else:
                     beyond += 1
                 if z == 0:
-                    heappush(heap, (t + draw(rng), chosen))
+                    heappush(heap, (t + service(), chosen))
 
         # close the window: a batch keeps its integrals, the warm-up drops them
         if b:

@@ -19,9 +19,10 @@ beta/s_min), which callers can detect through ``decreasing_hazard``.
 
 Sampling is by inverse transform of the survival function, so each draw is a
 deterministic function of a single uniform variate. A sampler draws only
-through its argument's ``random()`` and ``expovariate(1.0)``: pass a
-``random.Random`` for one draw, or the cavity kernel's lane block, whose
-methods return one array of draws for every lane.
+through its argument's ``random()`` and ``expovariate(1.0)``: both simulators
+pass a ``BlockDraws``, an array of draws per call (one per cavity lane in
+flight, or one block of the network's service stream); only the tests pass a
+``random.Random``, for one draw per call.
 
 Closed forms are fixed on the whole half-line, not just for large s; this is
 strictly stronger than only prescribing the far tail and is relied on by the
@@ -33,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -136,8 +139,21 @@ def cdf(spec: ServiceDistributionSpec, s: float) -> float:
     return 1.0 - tail(spec, s)
 
 
+class BlockDraws:
+    """random.Random's two draws for a service sampler, an array of ``size`` draws per call."""
+
+    def __init__(self, gen, size: int):
+        self.gen, self.size = gen, size
+
+    def random(self):
+        return self.gen.random(self.size)
+
+    def expovariate(self, lambd):
+        return -np.log(1.0 - self.random()) / lambd  # random.Random's formula
+
+
 def make_sampler(spec: ServiceDistributionSpec) -> Callable:
-    """Fast inverse-transform sampler: rng -> one service time.
+    """Fast inverse-transform sampler: rng -> one service time, or an array from a ``BlockDraws``.
 
     The returned closure consumes exactly one uniform variate per draw,
     mapping u = 1 - rng.random() (uniform on (0, 1]) through the inverse of

@@ -26,8 +26,8 @@ from jsqlab import (
     vdk_tail,
 )
 
-from jsqlab.cavity import LANES, _LaneDraws
-from jsqlab.service_dist import make_sampler
+from jsqlab.cavity import LANES
+from jsqlab.service_dist import BlockDraws, make_sampler
 from oracles import FixedU, mc_arrival_oracle, reference_cycles
 
 EMPTY_ABOVE_0 = TailVector((1.0,) + (0.0,) * 8)
@@ -183,7 +183,7 @@ class TestLaneKernel:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_lane_draws_match_scalar_draws(self, kind):
-        # the same uniforms through the lane block and through random.Random, one at a time
+        # the same uniforms through a draw block and through random.Random, one at a time
         spec = make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None)
         u = np.random.default_rng(5).random(10_000)
         u[:3] = (0.0, 1e-12, 1.0 - 2.0**-53)
@@ -194,7 +194,7 @@ class TestLaneKernel:
                 return u
 
         draw = make_sampler(spec)
-        block = np.broadcast_to(draw(_LaneDraws(Uniforms(), len(u))), u.shape)
+        block = np.broadcast_to(draw(BlockDraws(Uniforms(), len(u))), u.shape)
         scalar = np.array([draw(FixedU([x])) for x in u])
         # lomax subtracts sigma from sigma * (1 - u)**(-1/beta): an ulp of the
         # power, numpy's or libm's, is an ulp of the draw plus sigma

@@ -1,9 +1,10 @@
 """Network simulator: oracles, audits, exchangeability, determinism."""
 
 import math
-import random
 import statistics
+from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from jsqlab import network
 from jsqlab.config import echo, read_config
 from jsqlab.tails import Z95, t95
 from jsqlab import (
+    KINDS,
     AuditFailure,
     ConfigError,
     NetworkConfig,
@@ -34,39 +36,21 @@ def small_config(**kw):
     return NetworkConfig(**base)
 
 
-class RecordingRandom(random.Random):
-    """A stream that logs every uniform it hands out.
-
-    Every variate the engine draws (arrival gaps, queue samples, tie splits,
-    service times) comes from ``random()``, so the log is the full input of
-    the event sequence.
-    """
-
-    def __init__(self, state):
-        super().__init__()
-        self.setstate(state)
-        self.log = []
-
-    def random(self):
-        u = super().random()
-        self.log.append(u)
-        return u
+def run_fields(run):
+    """Every field of a run but its wall time."""
+    return {k: v for k, v in vars(run).items() if k != "runtime_s"}
 
 
-def recorded_run(monkeypatch, config):
-    """Run the network on a logging copy of its stream; return (log, run)."""
-    streams = []
-    derive = network.derive_stream
+def law(kind):
+    return make_spec(kind, 2.5 if kind in ("lomax", "pareto") else None)
 
-    def recording_stream(base_seed, *key):
-        streams.append(RecordingRandom(derive(base_seed, *key).getstate()))
-        return streams[-1]
 
-    with monkeypatch.context() as m:
-        m.setattr(network, "derive_stream", recording_stream)
-        run = run_network(config)
-    assert len(streams) == 1
-    return streams[0].log, run
+# chi-square 99.9% quantiles by degrees of freedom, scipy.stats.chi2.ppf(0.999, df)
+CHI2_999 = {1: 10.827566170662733, 2: 13.815510557964274, 5: 20.515005652432873, 59: 98.32423413474163}
+
+
+def chi_square(counts, expected):
+    return sum((c - expected) ** 2 / expected for c in counts)
 
 
 def jsq2_ctmc_cov(alpha: float, level: int, cap: int = 30) -> float:
@@ -171,18 +155,38 @@ class TestRunNetwork:
         for k in range(run.tail.k_max):
             assert run.tail.p[k] >= run.tail.p[k + 1]
 
-    def test_deterministic_event_sequence(self, monkeypatch):
-        log_a, a = recorded_run(monkeypatch, small_config())
-        log_b, b = recorded_run(monkeypatch, small_config())
-        assert log_a and log_a == log_b
-        assert a.lengths_end == b.lengths_end
-        assert a.tail.p == b.tail.p
-        assert a.tail.ci == b.tail.ci
+    def test_deterministic_event_sequence(self):
+        a = run_network(small_config(), pair_level=1)
+        b = run_network(small_config(), pair_level=1)
+        assert a.arrivals > 0
+        assert run_fields(a) == run_fields(b)
 
-    def test_different_seed_changes_sequence(self, monkeypatch):
-        log_a, _ = recorded_run(monkeypatch, small_config())
-        log_b, _ = recorded_run(monkeypatch, small_config(seed=9))
-        assert log_a != log_b
+    def test_different_seed_changes_sequence(self):
+        a = run_network(small_config(), pair_level=1)
+        b = run_network(small_config(seed=9), pair_level=1)
+        assert (a.arrivals, a.departures) != (b.arrivals, b.departures)
+        assert a.lengths_end != b.lengths_end
+        assert a.tail.p != b.tail.p
+        assert a.pair_batches != b.pair_batches
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_size_does_not_change_the_run(self, monkeypatch, kind):
+        # the k-th value of each stream is the same however the blocks split it
+        cfg = small_config(service=law(kind), D=3)
+        default = run_fields(run_network(cfg, pair_level=1))
+        monkeypatch.setattr(network, "BLOCK", 7)
+        assert run_fields(run_network(cfg, pair_level=1)) == default
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_service_law(self, kind):
+        run = run_network(NetworkConfig(N=20, D=2, alpha=0.5, service=law(kind), horizon=4000.0,
+                                        seed=11, k_max=16))
+        conservation_audit(run)
+        p = run.tail.p
+        assert not run.tail.clipped
+        assert all(a >= b for a, b in zip(p, p[1:]))
+        # utilisation identity: a queue is busy a fraction alpha of the time
+        assert abs(p[1] - 0.5) <= 3 * run.tail.ci[1]
 
     def test_exchangeability_under_relabeling(self):
         # relabeling queues maps the sample path through a permutation, so
@@ -219,6 +223,42 @@ class TestRunNetwork:
         run.arrivals += 1
         with pytest.raises(AuditFailure):
             conservation_audit(run)
+
+
+class TestQueueChoice:
+    """Each arrival joins the first shortest queue of a uniformly ordered row of D distinct queues."""
+
+    @staticmethod
+    def rows(N, D, n, seed):
+        return network.sample_rows(np.random.Generator(np.random.PCG64(seed)), N, D, n).tolist()
+
+    def test_rows_are_uniform_ordered_samples(self):
+        rows = self.rows(5, 3, 60_000, seed=2024)
+        counts = Counter(map(tuple, rows))
+        assert set(counts) == set(permutations(range(5), 3))
+        assert chi_square(counts.values(), 1000) < CHI2_999[59]
+
+    def test_full_information_rows_are_uniform_orders(self):
+        # D = N: every row is a permutation of all queues, as the CTMC test needs
+        counts = Counter(map(tuple, self.rows(3, 3, 6000, seed=2025)))
+        assert set(counts) == set(permutations(range(3)))
+        assert chi_square(counts.values(), 1000) < CHI2_999[5]
+        counts = Counter(map(tuple, self.rows(2, 2, 2000, seed=2026)))
+        assert set(counts) == {(0, 1), (1, 0)}
+        assert chi_square(counts.values(), 1000) < CHI2_999[1]
+
+    def test_first_shortest_splits_ties_evenly(self):
+        rows = self.rows(5, 3, 30_000, seed=2027)
+        # all lengths equal: the chosen queue takes each rank in its row's set 1/D of the time
+        lengths = [4] * 5
+        ranks = Counter(sorted(row).index(min(row, key=lengths.__getitem__)) for row in rows)
+        assert chi_square([ranks[r] for r in range(3)], 10_000) < CHI2_999[2]
+        # queues 1 and 3 tie shortest: when a row holds both, each is chosen half the time
+        lengths = [2, 0, 1, 0, 2]
+        both = [row for row in rows if {1, 3} <= set(row)]
+        chosen = Counter(min(row, key=lengths.__getitem__) for row in both)
+        assert set(chosen) == {1, 3}
+        assert chi_square(chosen.values(), len(both) / 2) < CHI2_999[1]
 
 
 class TestPairDependence:
