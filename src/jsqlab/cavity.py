@@ -275,10 +275,10 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
 
     For a level never visited, the interval is [0, upper] with the
     rule-of-three visit bound scaled by the worst-case cycle contribution:
-    p[k] <= (3/n) * nu_max / mean(nu). The tail needs no clipping, so clipped
-    stays False: a cycle's time at >= k is a reverse cumulative sum of
-    nonnegative times, and every rounded sum over cycles and the division by
-    one total keep that order, so p is nonincreasing as computed.
+    p[k] <= (3/n) * nu_max / mean(nu). The tail needs no clipping: a cycle's
+    time at >= k is a reverse cumulative sum of nonnegative times, and every
+    rounded sum over cycles and the division by one total keep that order, so
+    p is nonincreasing as computed.
     """
     if stats.n_aborted:
         raise CycleRunawayError(

@@ -19,7 +19,10 @@ left for the next window. Per-level occupancy c[j] = #{queues with length
 integrals are accumulated in O(1) per event as
 integral = c0*(t1-t0) + net*t1 - sum_of_signed_change_times. At a window's
 end a batch keeps its integrals and the warm-up's are dropped. Estimates are
-batch means with Student-t intervals.
+batch means with Student-t intervals, left unclipped: c_j >= c_{j+1} at
+every instant, so two levels whose integrals tie had no event in the window
+and both compute as c0*dur exactly; an inversion would need a positive gap
+below the rounding of the integral formula.
 
 A single run is strictly single-threaded; replications with distinct derived
 seeds can run on any pool and merge by averaging replication estimates.
@@ -38,7 +41,7 @@ import numpy as np
 from .errors import AuditFailure, ConfigError
 from .seeding import check_seed, derive_seed, derive_stream
 from .service_dist import BlockDraws, ServiceDistributionSpec, make_sampler
-from .tails import TailEstimate, enforce_monotone, t95
+from .tails import TailEstimate, t95
 
 BLOCK = 1024  # values per numpy fill of each random stream
 
@@ -95,7 +98,6 @@ class NetworkRun:
     c_end: list  # incremental level counters at the end, index 1..k_max
     jobs_mean: float  # mean of min(Z, k_max) per queue over the batches
     jobs_ci: float
-    beyond_k_max: int  # measured arrivals that took a queue past k_max
     runtime_s: float
     pair_level: int | None = None
     pair_batches: list = field(default_factory=list)  # indicator covariance per batch
@@ -114,22 +116,23 @@ class PairDependence:
 def _t_half(values: np.ndarray) -> float:
     """Student-t 95% half-width of the mean of ``values``."""
     n = len(values)
-    if n < 2:
-        return 0.0
     s = float(np.std(values, ddof=1))
     return t95(n - 1) * s / math.sqrt(n)
 
 
-def _level_means(samples) -> tuple[list, list, bool]:
-    """Level 0 (1 ± 0), then one level per sample row: mean and t half-width; p clipped monotone."""
+def _level_means(samples) -> tuple[list, list]:
+    """Level 0 (1 ± 0), then one level per sample row: mean and t half-width.
+
+    The means need no clip: every row is summed in the same order, so rows
+    that are ordered value by value keep their order in the mean.
+    """
     p = [1.0]
     ci = [0.0]
     for vals in samples:
         vals = np.asarray(vals)
         p.append(float(np.mean(vals)))
         ci.append(_t_half(vals))
-    p, clipped = enforce_monotone(p)
-    return p, ci, clipped
+    return p, ci
 
 
 def check_pair_level(config: NetworkConfig, k) -> None:
@@ -158,28 +161,21 @@ def _reader(fill):
     return chain.from_iterable(iter(fill, None)).__next__
 
 
-def run_network(config: NetworkConfig, *, relabel: list | None = None,
-                pair_level: int | None = None) -> NetworkRun:
+def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> NetworkRun:
     """Simulate the network and return the batch-means tail estimate.
 
-    ``relabel`` maps every sampled queue q to ``relabel[q]``, so the draws
-    are unchanged and only the queues' names differ. An exchangeability
-    diagnostic: summary statistics must be unchanged.
     ``pair_level`` also tracks the two-queue covariance at that level in the
     same pass (see ``pair_dependence``); it consumes no randomness.
     """
     if pair_level is not None:
         check_pair_level(config, pair_level)
-    if relabel is not None and sorted(relabel) != list(range(config.N)):
-        raise ConfigError("relabel must be a permutation of range(N)")
-    names = np.asarray(relabel if relabel is not None else range(config.N))
     N, D, alpha, k_max = config.N, config.D, config.alpha, config.k_max
     nb = config.n_batches
     gap_gen, row_gen, svc_gen = (np.random.default_rng(derive_seed(config.seed, 0, role)) for role in range(3))
     rate_in = alpha * N
     draw = make_sampler(config.service)
     gap = _reader(lambda: (gap_gen.standard_exponential(BLOCK) / rate_in).tolist())
-    sample = _reader(lambda: names[sample_rows(row_gen, N, D, BLOCK)].tolist())
+    sample = _reader(lambda: sample_rows(row_gen, N, D, BLOCK).tolist())
     service = _reader(lambda: np.broadcast_to(draw(BlockDraws(svc_gen, BLOCK)), BLOCK).tolist())
     pair_at = pair_level or 0  # level 0 never changes, so 0 disables the tracker
 
@@ -199,7 +195,6 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
 
     arrivals = 0
     departures = 0
-    beyond = 0  # arrivals that took a queue past k_max
     next_arrival = gap() if rate_in > 0.0 else math.inf
 
     wall0 = _time.perf_counter()
@@ -254,8 +249,6 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
                         df = 2 * (c_cur[lvl] - 1)  # c(c-1) jump when c gains one
                         cc_net += df
                         cc_sum_t += df * t
-                else:
-                    beyond += 1
                 if z == 0:
                     heappush(heap, (t + service(), chosen))
 
@@ -270,25 +263,22 @@ def run_network(config: NetworkConfig, *, relabel: list | None = None,
                 mean_c = level_batches[pair_at][-1] / batch_dur / N
                 icc = cc0 * dur + cc_net * t1 - cc_sum_t
                 pair_batches.append(icc / batch_dur / (N * (N - 1)) - mean_c * mean_c)
-        else:
-            beyond = 0
 
     runtime_s = _time.perf_counter() - wall0
 
     levels = np.asarray(level_batches[1:]) / (batch_dur * N)  # row j-1: level j per batch
-    p, ci, clipped = _level_means(levels)
+    p, ci = _level_means(levels)
     # sum over levels 1..k_max of the level occupancy is min(Z, k_max) per queue
     jobs_vals = levels.sum(axis=0)
     return NetworkRun(
         config=config,
-        tail=TailEstimate(p=p, ci=ci, clipped=clipped),
+        tail=TailEstimate(p=p, ci=ci),
         arrivals=arrivals,
         departures=departures,
         lengths_end=lengths,
         c_end=c_cur,
         jobs_mean=float(np.mean(jobs_vals)),
         jobs_ci=_t_half(jobs_vals),
-        beyond_k_max=beyond,
         runtime_s=runtime_s,
         pair_level=pair_level,
         pair_batches=pair_batches,
@@ -353,5 +343,5 @@ def merge_estimates(runs: list) -> TailEstimate:
         raise ConfigError("no replications to merge")
     if len(runs) == 1:
         return runs[0].tail
-    p, ci, clipped = _level_means(zip(*(r.tail.p[1:] for r in runs)))
-    return TailEstimate(p=p, ci=ci, clipped=clipped)
+    p, ci = _level_means(zip(*(r.tail.p[1:] for r in runs)))
+    return TailEstimate(p=p, ci=ci)

@@ -99,14 +99,10 @@ class TailVector:
 
 @dataclass
 class TailEstimate:
-    """Estimated tail probabilities with per-level confidence half-widths.
-
-    clipped records whether isotonic clipping had to adjust any level.
-    """
+    """Estimated tail probabilities with per-level confidence half-widths."""
 
     p: list
     ci: list
-    clipped: bool = False
 
     def __post_init__(self):
         self.p = [float(x) for x in self.p]
@@ -122,17 +118,6 @@ class TailEstimate:
     @property
     def k_max(self) -> int:
         return len(self.p) - 1
-
-
-def enforce_monotone(p: list) -> tuple[list, bool]:
-    """Clip a probability sequence to be nonincreasing (cumulative minimum)."""
-    out = list(p)
-    clipped = False
-    for k in range(1, len(out)):
-        if out[k] > out[k - 1]:
-            out[k] = out[k - 1]
-            clipped = True
-    return out, clipped
 
 
 def write_tail_csv(path, est: TailEstimate) -> None:
