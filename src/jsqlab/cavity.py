@@ -154,9 +154,8 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     shard's derived stream), so results depend on LANES as on the shard count.
     """
     top = env.k_max + 1  # the shared row of every level above k_max
-    p = env.p + (0.0, 0.0)
     with np.errstate(divide="ignore"):  # inf where no arrival is admitted
-        mean_gap = 1.0 / np.array([_admitted(p[z], p[z + 1], alpha, D) for z in range(top + 1)])
+        mean_gap = 1.0 / np.array([_admitted(env.value(z), env.value(z + 1), alpha, D) for z in range(top + 1)])
     draw = make_sampler(service_spec)
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
     z0 = start or 1  # level at which each excursion starts
@@ -166,7 +165,7 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     z = np.full(m, z0)
     peak = z.copy()
     t = np.zeros(m) if start else gen.standard_exponential(m) * mean_gap[0]
-    s_rem = np.full(m, s) if s else np.broadcast_to(draw(lanes), m).copy()
+    s_rem = np.full(m, s) if s else draw(lanes)
     occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: time at level this excursion
     v, v2, vt = np.zeros((3, top + 1))  # the per-level sums, with the shared row above k_max
     stats = CycleStats(k_max=env.k_max, v=v[:top], v2=v2[:top], vt=vt[:top])
@@ -210,7 +209,7 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
                 cut = ended[~ok]
                 stats.n_aborted += cut.size
                 occ[:, slot[cut]] = 0.0
-                s_rem[cut] = np.broadcast_to(fresh, m)[cut]
+                s_rem[cut] = fresh[cut]
             again = ended[: n - started]  # lanes that start the next excursions
             if again.size:
                 done = again[ok[: again.size]]
@@ -253,7 +252,9 @@ def simulate_cycles_sharded(
     """
     if n_cycles < 1:
         raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
-    shards = max(1, min(shards, n_cycles))  # so every shard runs at least one cycle
+    if shards < 1:
+        raise ConfigError(f"shards must be >= 1, got {shards}")
+    shards = min(shards, n_cycles)  # so every shard runs at least one cycle
     jobs = [
         (env, service_spec, alpha, D, n_cycles // shards + (i < n_cycles % shards),
          derive_stream(base_seed, *seed_key, i), time_cap)

@@ -158,9 +158,7 @@ def cmd_simulate(args) -> int:
     write_tail_csv(csv_path, merged)
     sidecar = {
         "config": echo("network", config, extras),
-        "seed": config.seed,
         "runtime": runtime,
-        "batches": config.n_batches,
         "arrivals": sum(r.arrivals for r in runs),
         "departures": sum(r.departures for r in runs),
     }

@@ -17,12 +17,13 @@ window and stops at the first event at or past the window's end, which is
 left for the next window. Per-level occupancy c[j] = #{queues with length
 >= j} changes at exactly one level per event, so each window's time
 integrals are accumulated in O(1) per event as
-integral = c0*(t1-t0) + net*t1 - sum_of_signed_change_times. At a window's
-end a batch keeps its integrals and the warm-up's are dropped. Estimates are
-batch means with Student-t intervals, left unclipped: c_j >= c_{j+1} at
-every instant, so two levels whose integrals tie had no event in the window
-and both compute as c0*dur exactly; an inversion would need a positive gap
-below the rounding of the integral formula.
+integral = c0*(t1-t0) + (c1-c0)*t1 - sum_of_signed_change_times, with c0
+and c1 the counts at the window's ends. A batch keeps its integrals and the
+warm-up's are dropped. Estimates are batch means with Student-t intervals,
+left unclipped: c_j >= c_{j+1} at every instant, so two levels whose
+integrals tie had no event in the window and both compute as c0*dur
+exactly; an inversion would need a positive gap below the rounding of the
+integral formula.
 
 A single run is strictly single-threaded; replications with distinct derived
 seeds can run on any pool and merge by averaging replication estimates.
@@ -65,9 +66,9 @@ class NetworkConfig:
     n_batches: int = 20
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
+        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
             raise ConfigError(f"N must be a positive integer, got {self.N!r}")
-        if not isinstance(self.D, int) or self.D < 1:
+        if not isinstance(self.D, int) or isinstance(self.D, bool) or self.D < 1:
             raise ConfigError(f"D must be an integer >= 1, got {self.D!r}")
         if self.D > self.N:
             raise ConfigError(f"D={self.D} exceeds the number of queues N={self.N}")
@@ -77,10 +78,10 @@ class NetworkConfig:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if not (0.0 <= self.warmup_fraction < 1.0):
             raise ConfigError(f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}")
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.n_batches < 2:
-            raise ConfigError(f"need at least 2 batches for intervals, got {self.n_batches}")
+        if not isinstance(self.k_max, int) or isinstance(self.k_max, bool) or self.k_max < 1:
+            raise ConfigError(f"k_max must be an integer >= 1, got {self.k_max!r}")
+        if not isinstance(self.n_batches, int) or isinstance(self.n_batches, bool) or self.n_batches < 2:
+            raise ConfigError(f"n_batches must be an integer >= 2 for intervals, got {self.n_batches!r}")
         if (1.0 - self.warmup_fraction) * self.horizon / self.n_batches <= 0.0:
             raise ConfigError("horizon too short for the requested batch count")
         check_seed(self.seed)
@@ -176,7 +177,7 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
     draw = make_sampler(config.service)
     gap = _reader(lambda: (gap_gen.standard_exponential(BLOCK) / rate_in).tolist())
     sample = _reader(lambda: sample_rows(row_gen, N, D, BLOCK).tolist())
-    service = _reader(lambda: np.broadcast_to(draw(BlockDraws(svc_gen, BLOCK)), BLOCK).tolist())
+    service = _reader(lambda: draw(BlockDraws(svc_gen, BLOCK)).tolist())
     pair_at = pair_level or 0  # level 0 never changes, so 0 disables the tracker
 
     # window b ends at ends[b]: window 0 is the warm-up, 1..nb the batches
@@ -202,13 +203,11 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
     for b, t1 in enumerate(ends):
         # open the window: change trackers start from the current counts
         c0 = c_cur[:]
-        net = [0] * (k_max + 1)
         sum_t = [0.0] * (k_max + 1)
         # pair-product tracker: f = c*(c-1) at the pair level, where c is the
         # level count; by exchangeability E[f]/(N*(N-1)) equals the indicator
         # product E[X_i * X_j] for any two fixed queues i != j
         cc0 = c_cur[pair_at] * (c_cur[pair_at] - 1)
-        cc_net = 0
         cc_sum_t = 0.0
         while True:
             if heap and heap[0][0] <= next_arrival:
@@ -220,12 +219,9 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
                 lengths[qi] = z - 1
                 if z <= k_max:
                     c_cur[z] -= 1
-                    net[z] -= 1
                     sum_t[z] -= t
                     if z == pair_at:
-                        df = -2 * c_cur[z]  # c(c-1) jump when c drops one
-                        cc_net += df
-                        cc_sum_t += df * t
+                        cc_sum_t -= 2 * c_cur[z] * t  # c(c-1) drops 2c when c drops one
                 if z > 1:
                     heapreplace(heap, (t + service(), qi))
                 else:
@@ -243,12 +239,9 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
                 lvl = z + 1
                 if lvl <= k_max:
                     c_cur[lvl] += 1
-                    net[lvl] += 1
                     sum_t[lvl] += t
                     if lvl == pair_at:
-                        df = 2 * (c_cur[lvl] - 1)  # c(c-1) jump when c gains one
-                        cc_net += df
-                        cc_sum_t += df * t
+                        cc_sum_t += 2 * (c_cur[lvl] - 1) * t  # c(c-1) gains 2(c-1) when c gains one
                 if z == 0:
                     heappush(heap, (t + service(), chosen))
 
@@ -256,12 +249,13 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
         if b:
             dur = t1 - ends[b - 1]
             for j in range(1, k_max + 1):
-                level_batches[j].append(c0[j] * dur + net[j] * t1 - sum_t[j])
+                level_batches[j].append(c0[j] * dur + (c_cur[j] - c0[j]) * t1 - sum_t[j])
             if pair_at:
                 # the indicator covariance from the all-pairs identity
                 # E[c*(c-1)]/(N*(N-1)) - (E[c]/N)**2
                 mean_c = level_batches[pair_at][-1] / batch_dur / N
-                icc = cc0 * dur + cc_net * t1 - cc_sum_t
+                c = c_cur[pair_at]
+                icc = cc0 * dur + (c * (c - 1) - cc0) * t1 - cc_sum_t
                 pair_batches.append(icc / batch_dur / (N * (N - 1)) - mean_c * mean_c)
 
     runtime_s = _time.perf_counter() - wall0

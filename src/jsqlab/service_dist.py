@@ -19,10 +19,10 @@ beta/s_min), which callers can detect through ``decreasing_hazard``.
 
 Sampling is by inverse transform of the survival function, so each draw is a
 deterministic function of a single uniform variate. A sampler draws only
-through its argument's ``random()`` and ``expovariate(1.0)``: both simulators
-pass a ``BlockDraws``, an array of draws per call (one per cavity lane in
-flight, or one block of the network's service stream); only the tests pass a
-``random.Random``, for one draw per call.
+through its argument's ``random()`` and ``expovariate(1.0)`` and returns
+draws in the shape of ``random()``'s: an array from a ``BlockDraws``, which
+both simulators pass (one draw per cavity lane in flight, or one block of
+the network's service stream), and a float from the tests' ``random.Random``.
 
 Closed forms are fixed on the whole half-line, not just for large s; this is
 strictly stronger than only prescribing the far tail and is relied on by the
@@ -182,8 +182,7 @@ def make_sampler(spec: ServiceDistributionSpec) -> Callable:
     elif k == "deterministic":
 
         def draw(rng):
-            rng.random()  # keep stream consumption uniform across kinds
-            return 1.0
+            return 0.0 * rng.random() + 1.0  # one uniform per draw, like every kind
 
     else:  # bounded-uniform; survival 1 - s/2, inverse 2*(1 - u)
 

@@ -145,6 +145,11 @@ class TestSimulateCycles:
         assert merged.total_time == again.total_time
         assert np.array_equal(merged.v, again.v)
 
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_sharded_rejects_fewer_than_one_shard(self, shards):
+        with pytest.raises(ConfigError, match="shards"):
+            simulate_cycles_sharded(TailVector.geometric(0.5, 8), EXP, 0.5, 2, 100, 13, shards=shards)
+
     def test_runaway_guard_counts_and_fails(self):
         stats = simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, 50, random.Random(5), time_cap=1e-4)
         assert stats.n_aborted > 0
@@ -194,7 +199,7 @@ class TestLaneKernel:
                 return u
 
         draw = make_sampler(spec)
-        block = np.broadcast_to(draw(BlockDraws(Uniforms(), len(u))), u.shape)
+        block = draw(BlockDraws(Uniforms(), len(u)))
         scalar = np.array([draw(FixedU([x])) for x in u])
         # lomax subtracts sigma from sigma * (1 - u)**(-1/beta): an ulp of the
         # power, numpy's or libm's, is an ulp of the draw plus sigma

@@ -130,7 +130,8 @@ class TestSimulate:
         assert rows[0] == (0, 1.0, 1.0, 1.0)
         sidecar = json.loads((tmp_path / "net.json").read_text())
         assert sidecar["config"]["N"] == 20
-        assert sidecar["batches"] == 20
+        assert sidecar["config"]["n_batches"] == 20
+        assert "seed" not in sidecar and "batches" not in sidecar  # each value once, in config
         assert "runtime" in sidecar
 
     def test_config_error_exit_code(self, tmp_path):

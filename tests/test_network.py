@@ -115,6 +115,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(warmup_fraction=1.0)
 
+    @pytest.mark.parametrize("key, value", [("N", True), ("D", True), ("k_max", 2.5), ("n_batches", 2.5)])
+    def test_counts_must_be_integers(self, key, value):
+        # a bool is an int to isinstance, and a float count would fail later with a TypeError
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            small_config(**{"D": 1, key: value})
+
     @staticmethod
     def document(cfg):
         doc = echo("network", cfg)
@@ -284,6 +290,13 @@ class TestPairDependence:
         cfg = NetworkConfig(N=2, D=2, alpha=0.3, service=EXP, horizon=120_000.0, seed=9, k_max=8)
         dep = pair_dependence([run_network(cfg, pair_level=1)])
         assert abs(dep.cov - oracle) <= 4 * dep.ci
+
+    @pytest.mark.parametrize("N, D, level", [(2, 2, 1), (20, 2, 1), (20, 3, 2)])
+    def test_batch_covariances_within_their_bounds(self, N, D, level):
+        # with m the batch's mean level fraction, c(c-1) <= c(N-1) gives
+        # cov <= m(1-m) <= 1/4, and Jensen on c**2 gives cov >= -m(1-m)/(N-1)
+        run = run_network(small_config(N=N, D=D, alpha=0.8, horizon=600.0), pair_level=level)
+        assert all(-0.25 / (N - 1) - 1e-12 <= cov <= 0.25 + 1e-12 for cov in run.pair_batches)
 
     def test_level_validation(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from jsqlab import ConfigError, cdf, log_tail, make_sampler, make_spec, tail
 from jsqlab.config import echo, read_config
-from jsqlab.service_dist import KINDS, ServiceDistributionSpec
+from jsqlab.service_dist import KINDS, BlockDraws, ServiceDistributionSpec
 
 from oracles import FixedU
 
@@ -142,6 +142,21 @@ class TestTail:
 class TestSampling:
     def test_deterministic_point_mass(self):
         assert make_sampler(make_spec("deterministic"))(random.Random(1)) == 1.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_draws_come_in_the_shape_of_their_uniforms(self, kind):
+        # n draws from a BlockDraws of n, one float from random.Random: one uniform each
+        draw = make_sampler(make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None))
+        gen, twin = np.random.default_rng(6), np.random.default_rng(6)
+        block = draw(BlockDraws(gen, 7))
+        twin.random(7)
+        assert isinstance(block, np.ndarray) and block.shape == (7,)
+        assert gen.bit_generator.state == twin.bit_generator.state
+        rng, rng_twin = random.Random(6), random.Random(6)
+        one = draw(rng)
+        rng_twin.random()
+        assert type(one) is float
+        assert rng.getstate() == rng_twin.getstate()
 
     def test_exponential_draw_is_expovariate(self):
         # rng.expovariate(1.0) is the old -log(1 - rng.random()), double for double
