@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 REGIME_DOUBLY = "doubly-exponential"
 REGIME_POWER = "power-law"
@@ -32,12 +32,6 @@ REGIME_BOUNDARY = "exponential-boundary"
 BOUNDARY_EPS = 1e-12
 
 BOUND_MODES = ("lower-3.1.2", "lower-3.1.6", "upper-3.6.3", "upper-3.6.4")
-
-
-def _check_d(D: int) -> int:
-    if not isinstance(D, int) or isinstance(D, bool) or D < 2:
-        raise ConfigError(f"D must be an integer >= 2, got {D!r}")
-    return D
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,8 @@ class RecursionParams:
     eta: float
 
     def __post_init__(self):
-        _check_d(self.D)
-        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 1:
-            raise ConfigError(f"window length ell must be an integer >= 1, got {self.ell!r}")
+        check_int("D", self.D, 2)
+        check_int("ell", self.ell, 1)
         if not (0.0 <= self.eta <= 1.0):
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta!r}")
         if self.ell == 1 and self.eta == 0.0:
@@ -124,7 +117,7 @@ def q_root(D: int, ell: int, eta: float) -> QRoot:
 
 def boundary_beta(D: int) -> float:
     """The regime boundary D/(D-1)."""
-    _check_d(D)
+    check_int("D", D, 2)
     return D / (D - 1.0)
 
 
@@ -134,7 +127,7 @@ def q_of_beta(D: int, beta: float) -> float:
     Maps beta to the window (ell = floor(beta), eta = beta - floor(beta));
     beta = inf returns the limiting value 1.
     """
-    _check_d(D)
+    check_int("D", D, 2)
     if beta == math.inf:
         return 1.0
     if not beta > boundary_beta(D):
@@ -164,8 +157,7 @@ def recursion_growth(params: RecursionParams, k_max: int) -> GrowthEstimate:
     is the windowed log-ratio estimate of log_D of the dominant root, an
     independent cross-check of q_root.
     """
-    if k_max < 50:
-        raise ConfigError(f"k_max must be >= 50 for a stable growth estimate, got {k_max}")
+    check_int("k_max", k_max, 50)  # fewer levels give no stable growth estimate
     D, ell, eta = params.D, params.ell, params.eta
     ln_d = math.log(D)
     window = [1.0] * ell  # R_{k-ell} .. R_{k-1}, rescaled
@@ -189,11 +181,10 @@ def recursion_growth(params: RecursionParams, k_max: int) -> GrowthEstimate:
 
 def vdk_log_tail(alpha: float, D: int, k: int) -> float:
     """log of the exponential-service limit tail alpha**((D**k - 1)/(D - 1))."""
-    _check_d(D)
+    check_int("D", D, 2)
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
+    check_int("k", k, 0)
     exponent = (D**k - 1) // (D - 1)  # exact integer, no float overflow
     log_alpha = math.log(alpha)
     if exponent > 1e300 / -log_alpha:
@@ -209,7 +200,7 @@ def vdk_tail(alpha: float, D: int, k: int) -> float:
 
 def gamma_exponent(D: int, beta: float) -> float:
     """Power-law tail exponent nu = (beta-1)/(1-(D-1)(beta-1)) for 1 < beta < D/(D-1)."""
-    _check_d(D)
+    check_int("D", D, 2)
     if not (1.0 < beta < boundary_beta(D)):
         raise ConfigError(
             f"the power-law regime needs 1 < beta < {boundary_beta(D)}, got beta={beta} "
@@ -239,7 +230,7 @@ class RegimeReport:
 
 def classify_regime(D: int, beta: float) -> RegimeReport:
     """Trichotomy in beta vs D/(D-1): doubly-exponential / power-law / boundary."""
-    _check_d(D)
+    check_int("D", D, 2)
     if not beta > 1.0:
         raise ConfigError(f"beta must exceed 1 (infinite mean otherwise), got {beta}")
     b = boundary_beta(D)
@@ -277,8 +268,7 @@ def affine_limit(a: float, b: float, c: float, n: int | None = None) -> AffineLi
         monotone = "constant"
     seq = None
     if n is not None:
-        if n < 0:
-            raise ConfigError(f"n must be >= 0, got {n}")
+        check_int("n", n, 0)
         vals = [float(c)]
         for _ in range(n):
             vals.append(a * vals[-1] + b)
@@ -297,6 +287,7 @@ def default_bound_prefix(D: int, beta: float, length: int = 30, scale: float = 1
     sequence slightly above the asymptote's unit-coefficient branch, i.e.
     with a milder initial decay.
     """
+    check_int("length", length, 0)
     if not scale > 0.0:
         raise ConfigError(f"prefix scale must be positive, got {scale}")
     gamma = D ** q_of_beta(D, beta)
@@ -334,7 +325,7 @@ def iterate_bound_recursion(
     doubly-exponential growth rate of log(1/P_k) is set by the window
     product, which is the quantity the tests pin down.
     """
-    _check_d(D)
+    check_int("D", D, 2)
     if mode not in BOUND_MODES:
         raise ConfigError(f"unknown bound mode {mode!r}; expected one of {BOUND_MODES}")
     if not beta > 1.0:
@@ -354,8 +345,7 @@ def iterate_bound_recursion(
             raise ConfigError("mode upper-3.6.4 requires integer beta; use upper-3.6.3")
         if delta is None or not (0.0 < delta < 1.0):
             raise ConfigError(f"mode upper-3.6.4 needs delta in (0, 1), got {delta!r}")
-    if k_max < 1:
-        raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    check_int("k_max", k_max, 1)
 
     prefix = [float(x) for x in initial_tail]
     if any(not (0.0 < x <= 1.0) for x in prefix):

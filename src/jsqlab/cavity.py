@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CycleRunawayError
+from .errors import ConfigError, CycleRunawayError, check_int
 from .seeding import check_seed, derive_stream
 from .service_dist import BlockDraws, ServiceDistributionSpec, make_sampler
 from .tails import Z95, TailEstimate, TailVector
@@ -44,8 +44,7 @@ LANES = 1024  # excursions in flight per kernel call
 def _check_alpha_d(alpha: float, D: int):
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if not isinstance(D, int) or isinstance(D, bool) or D < 1:
-        raise ConfigError(f"D must be an integer >= 1, got {D!r}")
+    check_int("D", D, 1)
 
 
 def effective_arrival_rate(env: TailVector, k: int, alpha: float, D: int) -> float:
@@ -63,8 +62,7 @@ def effective_arrival_rate(env: TailVector, k: int, alpha: float, D: int) -> flo
     _check_alpha_d(alpha, D)
     if not isinstance(env, TailVector):
         raise ConfigError(f"env must be a TailVector, got {type(env).__name__}")
-    if k < 0:
-        raise ConfigError(f"level k must be >= 0, got {k}")
+    check_int("k", k, 0)
     return _admitted(env.value(k), env.value(k + 1), alpha, D)
 
 
@@ -131,8 +129,7 @@ def simulate_cycles(
     exceeds time_cap is aborted and counted in n_aborted.
     """
     _check_alpha_d(alpha, D)
-    if n_cycles < 1:
-        raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
+    check_int("n_cycles", n_cycles, 1)
     return _excursions(env, service_spec, alpha, D, n_cycles, rng, time_cap)
 
 
@@ -250,11 +247,8 @@ def simulate_cycles_sharded(
     The shard count, not the worker count, determines the random streams, so
     any map_fn (serial map, pool.map, ...) produces identical results.
     """
-    if n_cycles < 1:
-        raise ConfigError(f"n_cycles must be >= 1, got {n_cycles}")
-    if shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, n_cycles)  # so every shard runs at least one cycle
+    check_int("n_cycles", n_cycles, 1)
+    shards = min(check_int("shards", shards, 1), n_cycles)  # so every shard runs at least one cycle
     jobs = [
         (env, service_spec, alpha, D, n_cycles // shards + (i < n_cycles % shards),
          derive_stream(base_seed, *seed_key, i), time_cap)
@@ -318,22 +312,18 @@ class FixedPointControls:
     shards: int = DEFAULT_SHARDS
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.cycles_per_iter < 2:
-            raise ConfigError(f"cycles_per_iter must be >= 2, got {self.cycles_per_iter}")
+        check_int("k_max", self.k_max, 1)
+        check_int("cycles_per_iter", self.cycles_per_iter, 2)
         if not (0.0 < self.damping <= 1.0):
             raise ConfigError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
+        check_int("max_iter", self.max_iter, 0)
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not (math.isfinite(self.noise_rel) and self.noise_rel >= 0.0):
             raise ConfigError(f"noise_rel must be finite and >= 0, got {self.noise_rel}")
         if not self.time_cap > 0.0:
             raise ConfigError(f"time_cap must be positive, got {self.time_cap}")
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
+        check_int("shards", self.shards, 1)
         check_seed(self.seed)
 
 
@@ -437,12 +427,10 @@ def measure_return_time(
     Diagnostic companion to the linear return-time bound 2*(k + s + const).
     """
     _check_alpha_d(alpha, D)
-    if k < 1:
-        raise ConfigError(f"starting level k must be >= 1, got {k}")
+    check_int("k", k, 1)
     if not s >= 0.0:
         raise ConfigError(f"residual s must be >= 0, got {s}")
-    if n_reps < 2:
-        raise ConfigError(f"n_reps must be >= 2, got {n_reps}")
+    check_int("n_reps", n_reps, 2)
     stats = _excursions(env, service_spec, alpha, D, n_reps, rng, time_cap, start=k, s=s)
     if stats.n_aborted:
         raise CycleRunawayError(f"{stats.n_aborted} return-time excursion(s) exceeded the cap {time_cap}")

@@ -29,7 +29,7 @@ from pathlib import Path
 from .analytic import classify_regime
 from .cavity import FixedPointControls, fixed_point
 from .config import echo, read_config
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .fitting import MODELS, fit_tail
 from .network import (
     NetworkConfig,
@@ -56,8 +56,7 @@ class SimulateExtras:
     pair_level: int | None = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        check_int("replications", self.replications, 1)
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,7 @@ def _read_run_config(args, mode: str, *classes) -> list:
 @contextmanager
 def _mapper(workers: int, jobs: int):
     """``map`` in this process, or a pool's ``map`` with no more processes than ``jobs``."""
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-    n = min(workers, jobs)
+    n = min(check_int("--workers", workers, 1), jobs)
     if n <= 1:
         yield map
     else:

@@ -13,25 +13,14 @@ from __future__ import annotations
 
 from dataclasses import MISSING, fields, is_dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_number
 from .service_dist import ServiceDistributionSpec
 
 
 def _as_int(name: str, value):
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} is too large for a float") from None
+        value = int(value)
+    return check_int(name, value, None)
 
 
 def _as_str(name: str, value):
@@ -44,7 +33,7 @@ def _as_list(name: str, value):
     """A JSON array of numbers; each entry is checked like a ``float`` field."""
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return [_as_float(f"{name}[{i}]", v) for i, v in enumerate(value)]
+    return [check_number(f"{name}[{i}]", v) for i, v in enumerate(value)]
 
 
 def _as_service(name: str, value):
@@ -55,7 +44,7 @@ def _as_service(name: str, value):
 
 
 # keyed by field annotation; the config classes use no other field types
-_CONVERT = {"int": _as_int, "float": _as_float, "str": _as_str, "list": _as_list,
+_CONVERT = {"int": _as_int, "float": check_number, "str": _as_str, "list": _as_list,
             "ServiceDistributionSpec": _as_service}
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, check_int
 from .tails import read_tail_csv
 
 MODELS = ("doubly-exponential", "power-law", "exponential")
@@ -68,8 +68,8 @@ def fit_tail(
     """Fit one tail model to a CSV path or to (k, p, ci_low, ci_high) rows."""
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {MODELS}")
-    if model == "doubly-exponential" and (not isinstance(d_choices, int) or d_choices < 2):
-        raise ConfigError(f"the doubly-exponential model needs integer d_choices >= 2, got {d_choices!r}")
+    if model == "doubly-exponential":
+        check_int("d_choices", d_choices, 2)
     if not (math.isfinite(rel_ci_max) and rel_ci_max > 0.0):
         raise ConfigError(f"rel_ci_max must be finite and > 0, got {rel_ci_max!r}")
     if k_min is not None and k_max is not None and k_min > k_max:

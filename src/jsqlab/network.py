@@ -39,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import AuditFailure, ConfigError
+from .errors import AuditFailure, ConfigError, check_int
 from .seeding import check_seed, derive_seed, derive_stream
 from .service_dist import BlockDraws, ServiceDistributionSpec, make_sampler
 from .tails import TailEstimate, t95
@@ -66,10 +66,8 @@ class NetworkConfig:
     n_batches: int = 20
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
-            raise ConfigError(f"N must be a positive integer, got {self.N!r}")
-        if not isinstance(self.D, int) or isinstance(self.D, bool) or self.D < 1:
-            raise ConfigError(f"D must be an integer >= 1, got {self.D!r}")
+        check_int("N", self.N, 1)
+        check_int("D", self.D, 1)
         if self.D > self.N:
             raise ConfigError(f"D={self.D} exceeds the number of queues N={self.N}")
         if not (0.0 <= self.alpha < 1.0):
@@ -78,10 +76,8 @@ class NetworkConfig:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if not (0.0 <= self.warmup_fraction < 1.0):
             raise ConfigError(f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}")
-        if not isinstance(self.k_max, int) or isinstance(self.k_max, bool) or self.k_max < 1:
-            raise ConfigError(f"k_max must be an integer >= 1, got {self.k_max!r}")
-        if not isinstance(self.n_batches, int) or isinstance(self.n_batches, bool) or self.n_batches < 2:
-            raise ConfigError(f"n_batches must be an integer >= 2 for intervals, got {self.n_batches!r}")
+        check_int("k_max", self.k_max, 1)
+        check_int("n_batches", self.n_batches, 2)
         if (1.0 - self.warmup_fraction) * self.horizon / self.n_batches <= 0.0:
             raise ConfigError("horizon too short for the requested batch count")
         check_seed(self.seed)
@@ -140,8 +136,7 @@ def check_pair_level(config: NetworkConfig, k) -> None:
     """Reject a pair level the tracker cannot measure, before any simulation."""
     if config.N < 2:
         raise ConfigError("pair dependence needs at least two queues")
-    if not isinstance(k, int) or not (1 <= k <= config.k_max):
-        raise ConfigError(f"pair level must be an integer in [1, k_max={config.k_max}], got {k!r}")
+    check_int("pair_level", k, 1, config.k_max)
 
 
 def sample_rows(gen, N: int, D: int, size: int) -> np.ndarray:

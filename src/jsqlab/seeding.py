@@ -13,15 +13,13 @@ import random
 import numpy as np
 from numpy.random import SeedSequence  # loaded with jsqlab, not lazily inside the first run
 
-from .errors import ConfigError
+from .errors import check_int
 
 MAX_SEED = 2**64 - 1
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed <= MAX_SEED):
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return seed
+    return check_int("seed", seed, 0, MAX_SEED)
 
 
 def derive_seed(base_seed: int, *key: int) -> int:

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 
 KINDS = ("exponential", "lomax", "pareto", "deterministic", "bounded-uniform")
 
@@ -61,7 +61,7 @@ class ServiceDistributionSpec:
         if self.kind in _NEEDS_BETA:
             if self.beta is None:
                 raise ConfigError(f"{self.kind} requires a tail exponent beta")
-            beta = float(self.beta)
+            beta = check_number("beta", self.beta)
             if not (beta > 1.0) or not math.isfinite(beta):
                 raise ConfigError(
                     f"beta must be a finite real > 1, got {self.beta!r} (beta <= 1 has infinite mean)"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analytic import bisect
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 CSV_HEADER = "k,p,ci_low,ci_high"
 Z95 = 1.959963984540054  # the normal 0.975 quantile, to the last bit
@@ -94,6 +94,7 @@ class TailVector:
         """p[k] = ratio**k; the standard fixed-point starting environment."""
         if not (0.0 <= ratio < 1.0):
             raise ConfigError(f"geometric ratio must be in [0, 1), got {ratio}")
+        check_int("k_max", k_max, 0)
         return cls(tuple(ratio**k for k in range(k_max + 1)))
 
 
@@ -133,9 +134,12 @@ def read_tail_csv(path) -> list[tuple[int, float, float, float]]:
 
     The levels must run 0, 1, 2, ... in order, as ``write_tail_csv`` writes
     them; a row that breaks the schema, or is not UTF-8, raises ConfigError
-    naming its line.
+    naming its line, and a file that cannot be read raises one naming the path.
     """
-    text = Path(path).read_text(encoding="utf-8", errors="replace")  # U+FFFD parses as no number
+    try:
+        text = Path(path).read_text(encoding="utf-8", errors="replace")  # U+FFFD parses as no number
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigError(f"{path}: expected header {CSV_HEADER!r}")

@@ -298,3 +298,34 @@ class TestBoundRecursions:
         slope = (math.log2(seq[70]) - math.log2(seq[60])) / 10.0
         assert slope == pytest.approx(expected, abs=1e-3)
         assert abs(expected - q_of_beta(2, 3.0)) < 0.03
+
+
+# every count, level and D of the analytic layer: (name, call taking the value, lower bound)
+INTEGER_ARGS = [
+    pytest.param("D", lambda v: RecursionParams(v, 3, 0.0), 2, id="params-D"),
+    pytest.param("ell", lambda v: RecursionParams(2, v, 0.5), 1, id="params-ell"),
+    pytest.param("D", boundary_beta, 2, id="boundary-D"),
+    pytest.param("D", lambda v: q_of_beta(v, 3.0), 2, id="q_of_beta-D"),
+    pytest.param("D", lambda v: gamma_exponent(v, 1.2), 2, id="gamma-D"),
+    pytest.param("D", lambda v: classify_regime(v, 3.0), 2, id="classify-D"),
+    pytest.param("k_max", lambda v: recursion_growth(RecursionParams(2, 3, 0.0), v), 50, id="growth-k_max"),
+    pytest.param("D", lambda v: vdk_log_tail(0.5, v, 2), 2, id="vdk-D"),
+    pytest.param("k", lambda v: vdk_log_tail(0.5, 2, v), 0, id="vdk-k"),
+    pytest.param("k", lambda v: vdk_tail(0.5, 2, v), 0, id="vdk_tail-k"),
+    pytest.param("n", lambda v: affine_limit(0.5, 1.0, 0.0, n=v), 0, id="affine-n"),
+    pytest.param("D", lambda v: iterate_bound_recursion("lower-3.1.2", v, 3.0, {"C": 1.0}, 5), 2, id="bound-D"),
+    pytest.param("k_max", lambda v: iterate_bound_recursion("lower-3.1.2", 2, 3.0, {"C": 1.0}, v), 1,
+                 id="bound-k_max"),
+    pytest.param("length", lambda v: default_bound_prefix(2, 3.0, length=v), 0, id="prefix-length"),
+]
+
+
+@pytest.mark.parametrize("name, call, lo", INTEGER_ARGS)
+@pytest.mark.parametrize("case", ["float", "bool", "below"])
+def test_counts_and_levels_must_be_integers(name, call, lo, case):
+    # the float lies inside the bound, so only the integer rule rejects it (a
+    # fractional k would silently change vdk's exact power); a bool is an int
+    # to isinstance
+    value = {"float": max(2.5, lo + 0.5), "bool": True, "below": lo - 1}[case]
+    with pytest.raises(ConfigError, match=f"^{name}"):
+        call(value)

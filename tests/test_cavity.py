@@ -370,9 +370,9 @@ class TestFixedPoint:
         with pytest.raises(ConfigError):
             FixedPointControls(time_cap=time_cap)
 
-    @pytest.mark.parametrize("shards", [0, -2])
+    @pytest.mark.parametrize("shards", [0, -2, 2.5, True])
     def test_shards_rejected(self, shards):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^shards"):
             FixedPointControls(shards=shards)
 
     def test_no_monitored_level_never_converges(self):
@@ -442,3 +442,35 @@ class TestReturnTime:
             means.append(m)
         slope = np.polyfit(ks, means, 1)[0]
         assert slope <= 2.0 + 0.2
+
+
+# every count, level and seed of the cavity layer: (name, call taking the value, lower bound)
+INTEGER_ARGS = [
+    pytest.param("D", lambda v: effective_arrival_rate(EMPTY_ABOVE_0, 0, 0.5, v), 1, id="alpha_d-D"),
+    pytest.param("k", lambda v: effective_arrival_rate(EMPTY_ABOVE_0, v, 0.5, 2), 0, id="arrival-k"),
+    pytest.param("n_cycles", lambda v: simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, v, random.Random(1)), 1,
+                 id="cycles-n_cycles"),
+    pytest.param("n_cycles", lambda v: simulate_cycles_sharded(EMPTY_ABOVE_0, EXP, 0.5, 2, v, 1), 1,
+                 id="sharded-n_cycles"),
+    pytest.param("shards", lambda v: simulate_cycles_sharded(EMPTY_ABOVE_0, EXP, 0.5, 2, 10, 1, shards=v), 1,
+                 id="sharded-shards"),
+    pytest.param("k_max", lambda v: FixedPointControls(k_max=v), 1, id="controls-k_max"),
+    pytest.param("cycles_per_iter", lambda v: FixedPointControls(cycles_per_iter=v), 2, id="controls-cycles"),
+    pytest.param("max_iter", lambda v: FixedPointControls(max_iter=v), 0, id="controls-max_iter"),
+    pytest.param("seed", lambda v: FixedPointControls(seed=v), 0, id="controls-seed"),
+    pytest.param("k", lambda v: measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, v, 0.5, 10, random.Random(1)), 1,
+                 id="return-k"),
+    pytest.param("n_reps", lambda v: measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, 0.5, v, random.Random(1)), 2,
+                 id="return-n_reps"),
+    pytest.param("k_max", lambda v: TailVector.geometric(0.5, v), 0, id="geometric-k_max"),
+]
+
+
+@pytest.mark.parametrize("name, call, lo", INTEGER_ARGS)
+@pytest.mark.parametrize("case", ["float", "bool", "below"])
+def test_counts_and_levels_must_be_integers(name, call, lo, case):
+    # the float lies inside the bound, so only the integer rule rejects it; a
+    # bool is an int to isinstance
+    value = {"float": 2.5, "bool": True, "below": lo - 1}[case]
+    with pytest.raises(ConfigError, match=f"^{name}"):
+        call(value)

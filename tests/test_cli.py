@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jsqlab
-from jsqlab import FixedPointControls, NetworkConfig, cli, make_spec, pair_dependence, run_replication
+from jsqlab import ConfigError, FixedPointControls, NetworkConfig, cli, make_spec, pair_dependence, run_replication
 from jsqlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from jsqlab.config import echo, read_config
 from jsqlab.service_dist import KINDS
@@ -167,6 +167,11 @@ class TestSimulate:
         text = (tmp_path / "pair.pair.csv").read_text()
         assert text.startswith("k,cov,ci_low,ci_high\n")
 
+    @pytest.mark.parametrize("replications", [1.5, True, 0])
+    def test_extras_take_integer_replications(self, replications):
+        with pytest.raises(ConfigError, match="^replications"):
+            cli.SimulateExtras(replications=replications)
+
     @pytest.mark.parametrize("extra", [
         ["--pair-level", "0"],
         ["--pair-level", "65"],  # above the default k_max
@@ -298,6 +303,13 @@ class TestWorkers:
         assert not (tmp_path / "sub").exists()
         assert pools == []
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1.5, True, 0])
+    def test_library_mapper_takes_integer_workers(self, pools, workers):
+        with pytest.raises(ConfigError, match="^--workers"):
+            with cli._mapper(workers, 4):
+                pass
+        assert pools == []
 
     @pytest.mark.parametrize("args, workers, started", [
         (SIM_ARGS + ["--horizon", "60", "--replications", "3"], "64", [3]),
@@ -476,6 +488,7 @@ class TestFit:
         assert not out.exists()
         assert key in capsys.readouterr().err
 
-    def test_missing_file_is_config_error(self, tmp_path):
-        rc = main(["fit", str(tmp_path / "nope.csv"), "--model", "exponential"])
-        assert rc in (EXIT_CONFIG, EXIT_RUNTIME)
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        assert main(["fit", str(path), "--model", "exponential"]) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err

@@ -72,6 +72,11 @@ class TestFilters:
         with pytest.raises(ConfigError):
             fit_tail(rows_from(lambda k: 0.5**k, range(1, 8)), "gaussian")
 
+    @pytest.mark.parametrize("d_choices", [2.5, True, 1])
+    def test_doubly_exponential_takes_integer_d_choices(self, d_choices):
+        with pytest.raises(ConfigError, match="^d_choices"):
+            fit_tail(rows_from(lambda k: 0.5**k, range(1, 8)), "doubly-exponential", d_choices=d_choices)
+
     def test_weights_downweight_noisy_levels(self):
         # a noisy outlier inside the filter should barely move the slope
         clean = rows_from(lambda k: math.exp(-0.5 * k), range(1, 12), hw=0.0)

@@ -115,11 +115,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(warmup_fraction=1.0)
 
-    @pytest.mark.parametrize("key, value", [("N", True), ("D", True), ("k_max", 2.5), ("n_batches", 2.5)])
+    @pytest.mark.parametrize("key, value", [("N", True), ("D", True), ("k_max", 2.5), ("n_batches", 2.5),
+                                            ("pair_level", True), ("pair_level", 2.5), ("pair_level", 0)])
     def test_counts_must_be_integers(self, key, value):
         # a bool is an int to isinstance, and a float count would fail later with a TypeError
         with pytest.raises(ConfigError, match=f"^{key} must"):
-            small_config(**{"D": 1, key: value})
+            if key == "pair_level":
+                run_network(small_config(), pair_level=value)
+            else:
+                small_config(**{"D": 1, key: value})
 
     @staticmethod
     def document(cfg):

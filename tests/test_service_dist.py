@@ -41,6 +41,11 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_spec("pareto", 0.9)
 
+    @pytest.mark.parametrize("beta", ["2", "abc", True, pytest.param(int("9" * 400), id="too-large-for-a-float")])
+    def test_beta_must_be_a_real_number(self, beta):
+        with pytest.raises(ConfigError, match="^beta"):
+            make_spec("lomax", beta)
+
     def test_beta_rejected_for_kinds_without_tail_exponent(self):
         for kind in ("exponential", "deterministic", "bounded-uniform"):
             with pytest.raises(ConfigError):
