@@ -17,15 +17,20 @@ back in as the next environment; its fixed point is the equilibrium
 environment for the infinite-system limit.
 
 Within one iteration, cycles are split over a fixed number of shards with
-independent derived streams; shards may run on any pool without changing
-results, and stats merge by summation. Iterations are strictly sequential.
-A shard runs its cycles as numpy lanes, LANES at a time in lockstep, with
-one PCG64 stream seeded from the shard's stream: results depend on the
-lane count as they do on the shard count, never on the worker count.
+independent derived streams, and stats merge by summation in shard order.
+Iterations are strictly sequential. A shard runs its cycles as numpy lanes,
+LANES at a time in lockstep, with one PCG64 stream seeded from the shard's
+stream. Consecutive shards run in groups, up to GROUP_SHARDS per kernel
+call, so that one numpy step advances the lanes of every shard in the
+group; each shard still draws from its own stream and keeps its own sums.
+Results depend on the lane count as they do on the shard count, never on
+the grouping, the pool or the worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,70 +117,130 @@ class CycleStats:
         return self
 
 
+class ShardStats(list):
+    """The CycleStats of a group of shards, in shard order; a list that also takes attributes."""
+
+
 def simulate_cycles(
     env: TailVector,
     service_spec: ServiceDistributionSpec,
     alpha: float,
     D: int,
-    n_cycles: int,
+    n_cycles,
     rng,
     time_cap: float = DEFAULT_TIME_CAP,
-) -> CycleStats:
+) -> CycleStats | ShardStats:
     """Simulate n_cycles excursions from empty back to empty.
 
     One cycle is the idle wait for the first admitted arrival plus the busy
     period it starts. Service is FIFO at rate 1 with fresh draws from the
     service law; only the job in service carries a residual. A cycle that
     exceeds time_cap is aborted and counted in n_aborted.
+
+    n_cycles and rng may instead be equal-length lists, one count and one
+    stream per shard of a group. The shards then run in one lockstep loop,
+    each from its own stream, and the call returns their ShardStats: each
+    shard's CycleStats exactly as a call with that shard alone returns it.
     """
     _check_alpha_d(alpha, D)
-    check_int("n_cycles", n_cycles, 1)
-    return _excursions(env, service_spec, alpha, D, n_cycles, rng, time_cap)
+    if not isinstance(n_cycles, (list, tuple)):
+        check_int("n_cycles", n_cycles, 1)
+        return _excursions(env, service_spec, alpha, D, [n_cycles], [rng], time_cap)[0]
+    if not n_cycles or len(n_cycles) != len(rng):
+        raise ConfigError(f"a group needs one stream per shard, got {len(n_cycles)} counts, {len(rng)} streams")
+    for n in n_cycles:
+        check_int("n_cycles", n, 1)
+    return ShardStats(_excursions(env, service_spec, alpha, D, n_cycles, rng, time_cap))
 
 
-def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -> CycleStats:
-    """The excursion kernel behind simulate_cycles and measure_return_time.
+@functools.lru_cache(maxsize=4)
+def _mean_gaps(env: TailVector, alpha: float, D: int) -> np.ndarray:
+    """1 / alpha_z for z = 0..k_max + 1, the last for every level above k_max; inf where none is admitted.
+
+    Built once per environment: the calls of one iteration share it, read-only.
+    """
+    q = (*env.p, 0.0, 0.0)  # env.value(z) for z = 0..k_max + 2
+    with np.errstate(divide="ignore"):
+        gaps = 1.0 / np.array([_admitted(q[z], q[z + 1], alpha, D) for z in range(len(q) - 1)])
+    gaps.flags.writeable = False
+    return gaps
+
+
+class _ShardDraws(BlockDraws):
+    """A BlockDraws over a group of shards: shard i's sizes[i] lanes, after shard i - 1's, draw from gens[i].
+
+    A generator's draw into out= gives the values of its sized draw, so each
+    shard's lanes get what they would in a call of that shard alone.
+    """
+
+    def __init__(self, gens, sizes):
+        self.gens, self.sizes = gens, sizes
+
+    def draw(self, method, sizes=None) -> np.ndarray:
+        """One array of method(gen, out=...) over the shards, sizes[i] values from shard i."""
+        sizes = self.sizes if sizes is None else sizes
+        out = np.empty(sum(sizes))
+        a = 0
+        for gen, k in zip(self.gens, sizes):
+            if k:  # a shard with no live lanes makes no call
+                method(gen, out=out[a : a + k])
+                a += k
+        return out
+
+    def random(self):
+        return self.draw(np.random.Generator.random)
+
+
+_EXP = np.random.Generator.standard_exponential
+
+
+def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0) -> list:
+    """The excursion kernel behind simulate_cycles and measure_return_time: one CycleStats per shard.
 
     start = 0 runs regeneration cycles: the idle wait, then the busy period
     its arrival starts. start = k >= 1 runs drains from level k whose job in
     service has residual s (a fresh draw when s = 0); their time counts from
     0 and their occupations accumulate like a cycle's.
 
-    Up to LANES excursions run in lockstep, one event per lane per numpy
-    step. Exactly n are started, from a pool: a lane whose excursion ends
-    takes the next one while any is left, and every excursion started runs
-    to its end or to the time cap, so the long ones are never cut off. Each
-    lane keeps its time per level in one column of occ, whose rows reach
-    only as deep as any lane has gone, with every level above k_max in one
-    shared row. All draws come from one PCG64 stream seeded from rng (a
-    shard's derived stream), so results depend on LANES as on the shard count.
+    Shard i runs exactly ns[i] excursions, up to LANES at a time, from its
+    own pool: a lane whose excursion ends takes the shard's next one while
+    any is left, and every excursion started runs to its end or to the time
+    cap, so the long ones are never cut off. The lanes of every shard run in
+    lockstep in one set of arrays, one event per lane per numpy step, grouped
+    by shard in shard order through every compaction. Each lane keeps its
+    time per level in one column of occ, whose rows reach only as deep as
+    any lane has gone, with every level above k_max in one shared row.
+    Shard i draws everything from one PCG64 stream seeded from rngs[i] (its
+    derived stream) and keeps its own sums, so its CycleStats do not depend
+    on the group; they depend on LANES as on the shard count.
     """
     top = env.k_max + 1  # the shared row of every level above k_max
-    with np.errstate(divide="ignore"):  # inf where no arrival is admitted
-        mean_gap = 1.0 / np.array([_admitted(env.value(z), env.value(z + 1), alpha, D) for z in range(top + 1)])
+    mean_gap = _mean_gaps(env, alpha, D)
     draw = make_sampler(service_spec)
-    gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
+    lanes = _ShardDraws([np.random.Generator(np.random.PCG64(r.getrandbits(64))) for r in rngs],
+                        [min(n, LANES) for n in ns])
+    started = list(lanes.sizes)  # excursions started, per shard
+    m = sum(started)  # lanes in flight
     z0 = start or 1  # level at which each excursion starts
-    m = started = min(n, LANES)  # lanes in flight, excursions started
-    lanes = BlockDraws(gen, m)
     slot = np.arange(m)  # each lane's column in occ
     z = np.full(m, z0)
     peak = z.copy()
-    t = np.zeros(m) if start else gen.standard_exponential(m) * mean_gap[0]
+    t = np.zeros(m) if start else lanes.draw(_EXP) * mean_gap[0]
     s_rem = np.full(m, s) if s else draw(lanes)
     occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: time at level this excursion
-    v, v2, vt = np.zeros((3, top + 1))  # the per-level sums, with the shared row above k_max
-    stats = CycleStats(k_max=env.k_max, v=v[:top], v2=v2[:top], vt=vt[:top])
-    retired = []  # (slot, length, peak) of completed excursions whose lane then stopped
+    sums = np.zeros((len(ns), 3, top + 1))  # per shard v, v2, vt, with the shared row above k_max
+    stats = [CycleStats(k_max=env.k_max, v=v[:top], v2=v2[:top], vt=vt[:top]) for v, v2, vt in sums]
+    retired = [[] for _ in ns]  # per shard (slot, length, peak) of completed excursions whose lane then stopped
 
-    def flush(cols, td, deep):
-        """Add the completed excursions in occ's columns cols to the sums, and clear them."""
-        stats.n_cycles += len(td)
-        stats.total_time += float(td.sum())
-        stats.t2 += float((td * td).sum())
-        stats.nu_max = max(stats.nu_max, float(td.max(initial=0.0)))
+    def flush(i, cols, td, deep):
+        """Add shard i's completed excursions in occ's columns cols to its sums, and clear them."""
+        st, (v, v2, vt) = stats[i], sums[i]
+        st.n_cycles += len(td)
+        st.total_time += float(td.sum())
+        st.t2 += float((td * td).sum())
+        st.nu_max = max(st.nu_max, float(td.max(initial=0.0)))
         hi = int(deep.max(initial=0))
-        stats.max_level = max(stats.max_level, hi)
+        st.max_level = max(st.max_level, hi)
         w = min(hi, top) + 1
         above = occ[w - 1 : 0 : -1, cols].cumsum(axis=0)[::-1]  # row j: time at >= j + 1
         occ[1:w, cols] = 0.0
@@ -186,7 +251,7 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
         while m:
             level = np.minimum(z, top)
-            gap = gen.standard_exponential(m) * mean_gap[level]
+            gap = lanes.draw(_EXP) * mean_gap[level]
             arrive = gap < s_rem
             dt = np.where(arrive, gap, s_rem)
             occ[level, slot] += dt
@@ -202,31 +267,48 @@ def _excursions(env, service_spec, alpha, D, n, rng, time_cap, start=0, s=0.0) -
             if not ended.size:
                 continue
             ok = ~over[ended]
-            if not ok.all():
+            all_ok = ok.all()
+            if not all_ok:
                 cut = ended[~ok]
-                stats.n_aborted += cut.size
                 occ[:, slot[cut]] = 0.0
                 s_rem[cut] = fresh[cut]
-            again = ended[: n - started]  # lanes that start the next excursions
-            if again.size:
-                done = again[ok[: again.size]]
-                flush(slot[done], t[done], peak[done])
-                started += again.size
+            cuts = ended.searchsorted(list(itertools.accumulate(lanes.sizes, initial=0)))
+            again, gone, restarts = [], [], [0] * len(ns)  # lanes that start the next excursions, or stop
+            for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                if a == b:
+                    continue
+                mine, fine = ended[a:b], ok[a:b]
+                if not all_ok:
+                    stats[i].n_aborted += int(b - a - np.count_nonzero(fine))
+                k = restarts[i] = min(b - a, ns[i] - started[i])
+                if k:
+                    done = mine[:k][fine[:k]]
+                    flush(i, slot[done], t[done], peak[done])
+                    started[i] += k
+                    again.append(mine[:k])
+                if k < b - a:  # shard i's pool is empty: stop its other lanes
+                    done = mine[k:][fine[k:]]
+                    retired[i].append((slot[done], t[done], peak[done]))
+                    gone.append(mine[k:])
+                    lanes.sizes[i] -= b - a - k
+            if again:
+                again = np.concatenate(again)
                 z[again] = peak[again] = z0
-                t[again] = 0.0 if start else gen.standard_exponential(again.size) * mean_gap[0]
+                t[again] = 0.0 if start else lanes.draw(_EXP, restarts) * mean_gap[0]
                 if s:
                     s_rem[again] = s
-            if again.size < ended.size:  # the pool is empty: stop the other lanes
-                gone = ended[again.size :]
-                done = gone[ok[again.size :]]
-                retired.append((slot[done], t[done], peak[done]))
+            if gone:
                 keep = np.ones(m, dtype=bool)
-                keep[gone] = False
+                keep[np.concatenate(gone)] = False
                 z, peak, t, s_rem, slot = z[keep], peak[keep], t[keep], s_rem[keep], slot[keep]
-                m = lanes.size = len(z)
-    if retired:
-        flush(*(np.concatenate(x) for x in zip(*retired)))
+                m = len(z)
+    for i, done in enumerate(retired):
+        if done:
+            flush(i, *(np.concatenate(x) for x in zip(*done)))
     return stats
+
+
+GROUP_SHARDS = 4  # most shards per kernel call; 8 ran faster still but took 11% more peak memory
 
 
 def simulate_cycles_sharded(
@@ -241,28 +323,35 @@ def simulate_cycles_sharded(
     seed_key: tuple = (),
     time_cap: float = DEFAULT_TIME_CAP,
     map_fn=map,
+    workers: int = 1,
 ) -> CycleStats:
     """Split n_cycles as evenly as possible over a fixed shard count and merge by summation.
 
-    The shard count, not the worker count, determines the random streams, so
-    any map_fn (serial map, pool.map, ...) produces identical results.
+    The shard count, not the worker count, determines the random streams.
+    Consecutive shards run in groups of near-equal size, one simulate_cycles
+    call each: max(ceil(shards / GROUP_SHARDS), min(workers, shards)) of
+    them, so that each of up to `workers` processes behind map_fn gets one.
+    A shard's stats are the same in any group and merge in shard order, so
+    any map_fn (serial map, pool.map, ...) and any workers produce
+    identical results.
     """
     check_int("n_cycles", n_cycles, 1)
     shards = min(check_int("shards", shards, 1), n_cycles)  # so every shard runs at least one cycle
-    jobs = [
-        (env, service_spec, alpha, D, n_cycles // shards + (i < n_cycles % shards),
-         derive_stream(base_seed, *seed_key, i), time_cap)
-        for i in range(shards)
-    ]
+    groups = max(-(-shards // GROUP_SHARDS), min(check_int("workers", workers, 1), shards))
+    counts = [n_cycles // shards + (i < n_cycles % shards) for i in range(shards)]
+    streams = [derive_stream(base_seed, *seed_key, i) for i in range(shards)]
+    cuts = [shards * j // groups for j in range(groups + 1)]
+    jobs = [(env, service_spec, alpha, D, counts[a:b], streams[a:b], time_cap) for a, b in zip(cuts, cuts[1:])]
     merged = CycleStats(k_max=env.k_max)
-    for shard_stats in map_fn(_run_shard, jobs):
-        merged.merge(shard_stats)
+    for group in map_fn(_run_group, jobs):
+        for shard_stats in group:
+            merged.merge(shard_stats)
     return merged
 
 
-def _run_shard(job) -> CycleStats:
-    env, spec, alpha, D, n, rng, cap = job
-    return simulate_cycles(env, spec, alpha, D, n, rng, time_cap=cap)
+def _run_group(job) -> ShardStats:
+    env, spec, alpha, D, ns, rngs, cap = job
+    return simulate_cycles(env, spec, alpha, D, ns, rngs, time_cap=cap)
 
 
 def tail_from_cycles(stats: CycleStats) -> TailEstimate:
@@ -359,6 +448,7 @@ def fixed_point(
     controls: FixedPointControls = FixedPointControls(),
     *,
     map_fn=map,
+    workers: int = 1,
 ) -> FixedPointReport:
     """Iterate environment -> simulated tail until the map is statistically fixed.
 
@@ -388,6 +478,7 @@ def fixed_point(
             seed_key=(it,),
             time_cap=controls.time_cap,
             map_fn=map_fn,
+            workers=workers,
         )
         estimate = tail_from_cycles(stats)
         max_level = max(max_level, stats.max_level)
@@ -431,7 +522,7 @@ def measure_return_time(
     if not s >= 0.0:
         raise ConfigError(f"residual s must be >= 0, got {s}")
     check_int("n_reps", n_reps, 2)
-    stats = _excursions(env, service_spec, alpha, D, n_reps, rng, time_cap, start=k, s=s)
+    (stats,) = _excursions(env, service_spec, alpha, D, [n_reps], [rng], time_cap, start=k, s=s)
     if stats.n_aborted:
         raise CycleRunawayError(f"{stats.n_aborted} return-time excursion(s) exceeded the cap {time_cap}")
     mean = stats.total_time / n_reps

@@ -8,8 +8,8 @@ sidecar). Exit codes: 0 for success including statistical non-convergence,
 2 for configuration errors, 3 for runtime or IO failures, so studies can
 tell "wrong input" from "needs more cycles".
 
-Replications (simulate) and shards (cavity) run in parallel up to
-``--workers`` (at least 1, and never more processes than jobs); randomness
+Replications (simulate) and groups of shards (cavity) run in parallel up
+to ``--workers`` (at least 1, and never more processes than jobs); randomness
 is derived from the base seed by fixed keys, so the worker count never
 changes any output.
 """
@@ -181,7 +181,7 @@ def cmd_cavity(args) -> int:
 
     shards = min(controls.shards, controls.cycles_per_iter) if controls.max_iter else 0
     with _mapper(args.workers, shards) as map_fn:
-        report = fixed_point(point.service, point.alpha, point.D, controls, map_fn=map_fn)
+        report = fixed_point(point.service, point.alpha, point.D, controls, map_fn=map_fn, workers=args.workers)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -72,6 +72,9 @@ def fit_tail(
         check_int("d_choices", d_choices, 2)
     if not (math.isfinite(rel_ci_max) and rel_ci_max > 0.0):
         raise ConfigError(f"rel_ci_max must be finite and > 0, got {rel_ci_max!r}")
+    for name, level in (("k_min", k_min), ("k_max", k_max)):
+        if level is not None:
+            check_int(name, level, 0)
     if k_min is not None and k_max is not None and k_min > k_max:
         raise ConfigError(f"k_min={k_min} exceeds k_max={k_max}")
     if isinstance(source, (str, Path)):

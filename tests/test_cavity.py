@@ -1,6 +1,10 @@
 """Cavity process: arrival thinning, cycle estimation, fixed point."""
 
+import dataclasses
+import hashlib
+import json
 import math
+import pickle
 import random
 import statistics
 
@@ -26,7 +30,7 @@ from jsqlab import (
     vdk_tail,
 )
 
-from jsqlab.cavity import LANES
+from jsqlab.cavity import DEFAULT_TIME_CAP, LANES, ShardStats, _excursions, _mean_gaps
 from jsqlab.service_dist import BlockDraws, make_sampler
 from oracles import FixedU, mc_arrival_oracle, reference_cycles
 
@@ -248,6 +252,112 @@ class TestLaneKernel:
         assert abs(mean - ref_mean) <= 4 * math.sqrt((var + statistics.pvariance(lengths)) / n)
 
 
+def stats_bytes(stats: CycleStats) -> dict:
+    """Every CycleStats field, bit for bit: arrays as bytes, scalars as repr (so -0.0 is not 0.0)."""
+    fields = {}
+    for f in dataclasses.fields(CycleStats):
+        x = getattr(stats, f.name)
+        fields[f.name] = x.tobytes() if isinstance(x, np.ndarray) else repr(x)
+    return fields
+
+
+def grouped(items: list, groups: int) -> list:
+    """items cut into `groups` consecutive runs of near-equal length."""
+    cuts = [len(items) * j // groups for j in range(groups + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+LOMAX = make_spec("lomax", 1.4)
+GROUPINGS = [(shards, groups) for shards in (1, 3, 16) for groups in (1, 2, 3, 4, 16) if groups <= shards]
+
+
+class TestShardGroups:
+    """A shard's CycleStats are the same, bit for bit, whatever group it runs in."""
+
+    @staticmethod
+    def counts(shards):
+        # 5 cycles is the fewest-cycles case (n < LANES); LANES + 100 refills lanes from the pool
+        return [(5, LANES + 100, 300)[i % 3] + i for i in range(shards)]
+
+    @staticmethod
+    def streams(shards):
+        return [random.Random(700 + i) for i in range(shards)]
+
+    @pytest.mark.parametrize("time_cap", [DEFAULT_TIME_CAP, 3.0])  # 3.0 takes the abort path
+    @pytest.mark.parametrize("shards, groups", GROUPINGS)
+    def test_cycles(self, shards, groups, time_cap):
+        env, counts = TailVector.geometric(0.7, 16), self.counts(shards)
+        alone = [simulate_cycles(env, LOMAX, 0.7, 2, n, r, time_cap=time_cap)
+                 for n, r in zip(counts, self.streams(shards))]
+        together = []
+        for ns, rs in zip(grouped(counts, groups), grouped(self.streams(shards), groups)):
+            group = simulate_cycles(env, LOMAX, 0.7, 2, ns, rs, time_cap=time_cap)
+            assert isinstance(group, ShardStats) and len(group) == len(ns)
+            together += group
+        assert [stats_bytes(x) for x in together] == [stats_bytes(x) for x in alone]
+        if time_cap == 3.0:
+            assert sum(x.n_aborted for x in alone) > 0
+
+    @pytest.mark.parametrize("start, s", [(5, 2.5), (3, 0.0)])
+    @pytest.mark.parametrize("shards, groups", GROUPINGS)
+    def test_drains(self, shards, groups, start, s):
+        # measure_return_time's excursions: drains from level start with residual s
+        env, counts = TailVector.geometric(0.5, 12), self.counts(shards)
+        alone = [_excursions(env, EXP, 0.5, 2, [n], [r], DEFAULT_TIME_CAP, start=start, s=s)[0]
+                 for n, r in zip(counts, self.streams(shards))]
+        together = []
+        for ns, rs in zip(grouped(counts, groups), grouped(self.streams(shards), groups)):
+            together += _excursions(env, EXP, 0.5, 2, ns, rs, DEFAULT_TIME_CAP, start=start, s=s)
+        assert [stats_bytes(x) for x in together] == [stats_bytes(x) for x in alone]
+
+    @pytest.mark.parametrize("shards", [1, 3, 16])
+    def test_sharded_at_any_worker_count(self, shards):
+        # workers 1, 3 and 16 make ceil(shards / 4), max(that, 3) and `shards` groups
+        env = TailVector.geometric(0.7, 16)
+        runs = [simulate_cycles_sharded(env, LOMAX, 0.7, 2, 9000, 21, shards=shards, seed_key=(4,), workers=w)
+                for w in (1, 3, 16)]
+        assert stats_bytes(runs[0]) == stats_bytes(runs[1]) == stats_bytes(runs[2])
+        assert runs[0].n_cycles == 9000
+
+    def test_group_keeps_attributes_through_pickle(self):
+        # a tracer attaches its counters to what a (forked) kernel call returns
+        group = simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, [10, 20], [random.Random(1), random.Random(2)])
+        group.info = (1, 2)
+        back = pickle.loads(pickle.dumps(group))
+        assert back.info == (1, 2) and [x.n_cycles for x in back] == [10, 20]
+
+    @pytest.mark.parametrize("n_cycles, rngs", [([], []), ([10, 20], [random.Random(1)])])
+    def test_group_needs_one_stream_per_shard(self, n_cycles, rngs):
+        with pytest.raises(ConfigError, match="one stream per shard"):
+            simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, n_cycles, rngs)
+
+    @pytest.mark.parametrize("case", [[10, 2.5], [10, True], [10, 0]])
+    def test_group_counts_are_integers(self, case):
+        with pytest.raises(ConfigError, match="^n_cycles"):
+            simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, case, [random.Random(1), random.Random(2)])
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_mean_gaps_are_the_scalar_rates(self, D):
+        env = TailVector((1.0, 0.6, 0.6, 0.2, 1e-300, 0.0))
+        expected = [1.0 / r if r else math.inf
+                    for r in (effective_arrival_rate(env, z, 0.7, D) for z in range(env.k_max + 2))]
+        assert _mean_gaps(env, 0.7, D).tolist() == expected
+
+    @pytest.mark.parametrize("spec, alpha, controls, digest", [
+        (LOMAX, 0.7, FixedPointControls(k_max=32, cycles_per_iter=3000, damping=0.5, tol=1e-12, noise_rel=0.5,
+                                        max_iter=3, seed=11, shards=5),
+         "12ed8763b502cc1e6a6725ec12b4cc811d3bc74e796ebc886b79be24866e2d0c"),
+        (EXP, 0.5, FixedPointControls(k_max=16, cycles_per_iter=2500, tol=1e-12, max_iter=2, seed=3, shards=7),
+         "4e1d85d023e1dcddcbea4c7d33ecf8104b70326f6682305ccc12b874b3b335da"),
+    ])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_fixed_point_digest(self, spec, alpha, controls, digest, workers):
+        # digests taken with one kernel call per shard, before shards ran in groups
+        rep = fixed_point(spec, alpha, 2, controls, workers=workers)
+        doc = [rep.env.p, rep.estimate.p, rep.estimate.ci, rep.distances, rep.converged, rep.max_level]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
 class TestTailFromCycles:
     def test_never_visited_level_rule_of_three(self):
         stats = simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, 1000, random.Random(2))
@@ -454,6 +564,8 @@ INTEGER_ARGS = [
                  id="sharded-n_cycles"),
     pytest.param("shards", lambda v: simulate_cycles_sharded(EMPTY_ABOVE_0, EXP, 0.5, 2, 10, 1, shards=v), 1,
                  id="sharded-shards"),
+    pytest.param("workers", lambda v: simulate_cycles_sharded(EMPTY_ABOVE_0, EXP, 0.5, 2, 10, 1, workers=v), 1,
+                 id="sharded-workers"),
     pytest.param("k_max", lambda v: FixedPointControls(k_max=v), 1, id="controls-k_max"),
     pytest.param("cycles_per_iter", lambda v: FixedPointControls(cycles_per_iter=v), 2, id="controls-cycles"),
     pytest.param("max_iter", lambda v: FixedPointControls(max_iter=v), 0, id="controls-max_iter"),

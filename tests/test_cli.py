@@ -253,6 +253,14 @@ class TestCavity:
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
         assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w3.json").read_bytes()
 
+    def test_shard_groups_do_not_change_output(self, tmp_path):
+        # six shards run in two kernel calls at --workers 1 and in three at --workers 3
+        args = CAV_ARGS + ["--shards", "6", "--cycles", "6000", "--max-iter", "2"]
+        assert main(args + ["--out", str(tmp_path / "w1")]) == EXIT_OK
+        assert main(args + ["--workers", "3", "--out", str(tmp_path / "w3")]) == EXIT_OK
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+        assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w3.json").read_bytes()
+
     def test_domain_error_exit_code(self, tmp_path):
         rc = main(["cavity", "--d-choices", "1", "--alpha", "0.5", "--service", "exponential",
                    "--out", str(tmp_path / "x")])

@@ -63,6 +63,18 @@ class TestFilters:
         fit = fit_tail(rows, "exponential", k_min=5, k_max=10)
         assert fit.k_window == (5, 10)
 
+    @pytest.mark.parametrize("name, window", [
+        ("k_min", {"k_min": True, "k_max": 8}),
+        ("k_min", {"k_min": 2.5, "k_max": 9}),
+        ("k_max", {"k_min": 2, "k_max": 9.5}),
+        ("k_max", {"k_max": 8.0}),
+        ("k_min", {"k_min": -1}),
+    ])
+    def test_window_takes_integer_levels(self, name, window):
+        rows = rows_from(lambda k: math.exp(-0.5 * k), range(1, 20))
+        with pytest.raises(ConfigError, match=f"^{name}"):
+            fit_tail(rows, "exponential", **window)
+
     def test_insufficient_data_lists_levels(self):
         rows = rows_from(lambda k: math.exp(-0.5 * k), range(1, 4))
         with pytest.raises(InsufficientDataError, match="usable"):
