@@ -298,6 +298,15 @@ class TestShardGroups:
         if time_cap == 3.0:
             assert sum(x.n_aborted for x in alone) > 0
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_law(self, kind):
+        # each law's sampler maps one group-wide array of uniforms
+        spec = make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None)
+        env, counts = TailVector.geometric(0.7, 16), self.counts(3)
+        alone = [simulate_cycles(env, spec, 0.7, 2, n, r) for n, r in zip(counts, self.streams(3))]
+        together = simulate_cycles(env, spec, 0.7, 2, counts, self.streams(3))
+        assert [stats_bytes(x) for x in together] == [stats_bytes(x) for x in alone]
+
     @pytest.mark.parametrize("start, s", [(5, 2.5), (3, 0.0)])
     @pytest.mark.parametrize("shards, groups", GROUPINGS)
     def test_drains(self, shards, groups, start, s):
