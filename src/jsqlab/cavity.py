@@ -25,12 +25,20 @@ call, so that one numpy step advances the lanes of every shard in the
 group; each shard still draws from its own stream and keeps its own sums.
 Results depend on the lane count as they do on the shard count, never on
 the grouping, the pool or the worker count.
+
+A shard's sums take its finished excursions in batches: each step's
+excursions whose lanes go on, and at the end of a call all whose lanes
+stopped. Within a batch, each level's moments (an excursion's time at or
+above the level, its square, its product with the excursion's length) add
+in lane order, one excursion after another; a batch that never went above
+level 1 sums them pairwise instead (numpy's sum), as every batch sums its
+lengths and their squares. One flush per step applies this rule to every
+shard of the group at once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -192,6 +200,63 @@ class _ShardDraws(BlockDraws):
 
 
 _EXP = np.random.Generator.standard_exponential
+BAND = 8  # occ rows a flush gathers for every finished excursion; deeper rows only for those that reached them
+
+
+def _flush(occ, stats, sums, cuts, cols, td, deep):
+    """Add finished excursions to their shards' CycleStats and sums, and clear their columns of occ.
+
+    Excursions cuts[i]..cuts[i + 1] - 1 belong to shard i, whose CycleStats
+    and v, v2, vt are stats[i] and sums[i]. Excursion j keeps its time per
+    level in occ's column cols[j], lasted td[j] and peaked at level deep[j].
+    Per shard, the excursions' time-at-or-above moments sum one after
+    another in lane order, except that a shard none of whose excursions
+    went above level 1 sums them pairwise (numpy's sum), as do its lengths
+    and squared lengths always; each sum then takes one addition. Rows above
+    BAND are gathered only for the excursions that reached them: the others'
+    rows there are zeros, and adding zeros changes no sum.
+    """
+    shards = [(i, a, e) for i, (a, e) in enumerate(zip(cuts, cuts[1:])) if a < e]
+    firsts = [a for _, a, _ in shards]
+    peaks = np.maximum.reduceat(deep, firsts).tolist()
+    lengths = np.empty((2, len(td)))  # each excursion's length and its square
+    lengths[0] = td
+    np.multiply(td, td, out=lengths[1])
+    for (i, a, e), peak, longest in zip(shards, peaks, np.maximum.reduceat(td, firsts).tolist()):
+        st = stats[i]
+        total, t2 = lengths[:, a:e].sum(axis=1).tolist()
+        st.n_cycles += e - a
+        st.total_time += total
+        st.t2 += t2
+        st.nu_max = max(st.nu_max, longest)
+        st.max_level = max(st.max_level, peak)
+    r = min(max(peaks), sums.shape[2] - 1)  # rows 1..r hold time; the last row is every level above k_max
+    carry = None  # the excursions that went over the band, and their time at >= BAND + 1
+    for lo, hi in ((BAND + 1, r), (1, min(r, BAND))):  # the rows over the band first
+        if lo > hi:
+            continue
+        sub = np.flatnonzero(deep >= lo) if lo > 1 else slice(None)
+        c = cols[sub]
+        x = np.empty((3, hi - lo + 1, len(c)))  # time at >= level lo..hi, its square, its product with the length
+        above = np.take(occ[lo : hi + 1], c, axis=1, out=x[0])
+        for row in occ[lo : hi + 1]:  # a 1-D index assignment per row: twice as fast as one 2-D
+            row[c] = 0.0
+        if carry is not None:
+            above[-1, carry[0]] += carry[1]
+        for j in range(hi - lo - 1, -1, -1):
+            above[j] += above[j + 1]
+        np.multiply(above, above, out=x[1])
+        np.multiply(above, td[sub], out=x[2])
+        at = cuts if lo == 1 else np.searchsorted(sub, cuts).tolist()
+        for (i, _, _), peak in zip(shards, peaks):
+            a, e, deepest = at[i], at[i + 1], min(peak, hi)
+            if a == e:
+                continue
+            if peak > 1:  # in lane order: cumsum adds one after another
+                sums[i, :, lo : deepest + 1] += x[:, : deepest - lo + 1, a:e].cumsum(axis=2)[:, :, -1]
+            else:
+                sums[i, :, 1] += x[:, 0, a:e].sum(axis=1)
+        carry = sub, above[0]  # for the band's pass, which comes second
 
 
 def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0) -> list:
@@ -213,14 +278,19 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     Shard i draws everything from one PCG64 stream seeded from rngs[i] (its
     derived stream) and keeps its own sums, so its CycleStats do not depend
     on the group; they depend on LANES as on the shard count.
+
+    Each step flushes the group's finished excursions whose lanes go on in
+    one _flush call, which sums them per shard in lane order (pairwise for a
+    shard whose batch stayed at level 1); excursions whose lane then stops
+    are flushed at the end, one call per shard over all of its own.
     """
     top = env.k_max + 1  # the shared row of every level above k_max
     mean_gap = _mean_gaps(env, alpha, D)
     draw = make_sampler(service_spec)
     lanes = _ShardDraws([np.random.Generator(np.random.PCG64(r.getrandbits(64))) for r in rngs],
                         [min(n, LANES) for n in ns])
-    started = list(lanes.sizes)  # excursions started, per shard
-    m = sum(started)  # lanes in flight
+    left = np.array(ns) - lanes.sizes  # excursions not yet started, per shard
+    m = width = sum(lanes.sizes)  # lanes in flight; occ's columns
     z0 = start or 1  # level at which each excursion starts
     slot = np.arange(m)  # each lane's column in occ
     z = np.full(m, z0)
@@ -228,83 +298,68 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     t = np.zeros(m) if start else lanes.draw(_EXP) * mean_gap[0]
     s_rem = np.full(m, s) if s else draw(lanes)
     occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: time at level this excursion
+    flat = occ.reshape(-1)  # occ[level, slot] is flat[level * width + slot]
     sums = np.zeros((len(ns), 3, top + 1))  # per shard v, v2, vt, with the shared row above k_max
     stats = [CycleStats(k_max=env.k_max, v=v[:top], v2=v2[:top], vt=vt[:top]) for v, v2, vt in sums]
-    retired = [[] for _ in ns]  # per shard (slot, length, peak) of completed excursions whose lane then stopped
-
-    def flush(i, cols, td, deep):
-        """Add shard i's completed excursions in occ's columns cols to its sums, and clear them."""
-        st, (v, v2, vt) = stats[i], sums[i]
-        st.n_cycles += len(td)
-        st.total_time += float(td.sum())
-        st.t2 += float((td * td).sum())
-        st.nu_max = max(st.nu_max, float(td.max(initial=0.0)))
-        hi = int(deep.max(initial=0))
-        st.max_level = max(st.max_level, hi)
-        w = min(hi, top) + 1
-        above = occ[w - 1 : 0 : -1, cols].cumsum(axis=0)[::-1]  # row j: time at >= j + 1
-        occ[1:w, cols] = 0.0
-        v[1:w] += above.sum(axis=1)
-        v2[1:w] += (above * above).sum(axis=1)
-        vt[1:w] += (above * td).sum(axis=1)
+    bounds = np.cumsum([0, *lanes.sizes])  # shard i's lanes are bounds[i]..bounds[i + 1] - 1
+    retired = []  # (shard, slot, length, peak) of completed excursions whose lane then stopped
 
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
         while m:
             level = np.minimum(z, top)
             gap = lanes.draw(_EXP) * mean_gap[level]
             arrive = gap < s_rem
-            dt = np.where(arrive, gap, s_rem)
-            occ[level, slot] += dt
+            dt = np.fmin(gap, s_rem)  # the earlier event; fmin passes over a nan gap (no arrival)
+            flat[level * width + slot] += dt
             t += dt
             z += np.where(arrive, 1, -1)
             fresh = draw(lanes)
             s_rem = np.where(arrive, s_rem - dt, fresh)  # after a departure, the next job's service
             np.maximum(peak, z, out=peak)
             if len(occ) <= top and z.max() >= len(occ):
-                occ = np.concatenate((occ, np.zeros_like(occ)))[: top + 1]
+                grown = np.zeros((min(2 * len(occ), top + 1), width))
+                grown[: len(occ)] = occ
+                occ, flat = grown, grown.reshape(-1)
             over = t > time_cap
             ended = ((z == 0) | over).nonzero()[0]
             if not ended.size:
                 continue
+            at = np.searchsorted(ended, bounds)  # shard i's ended lanes are ended[at[i]:at[i + 1]]
+            count = np.diff(at)
+            restarts = np.minimum(count, left)  # a shard's first ended lanes take its next excursions
+            left -= restarts
+            again = np.arange(ended.size) < np.repeat(at[:-1] + restarts, count)
             ok = ~over[ended]
-            all_ok = ok.all()
-            if not all_ok:
+            if not ok.all():
                 cut = ended[~ok]
                 occ[:, slot[cut]] = 0.0
                 s_rem[cut] = fresh[cut]
-            cuts = ended.searchsorted(list(itertools.accumulate(lanes.sizes, initial=0)))
-            again, gone, restarts = [], [], [0] * len(ns)  # lanes that start the next excursions, or stop
-            for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
-                if a == b:
-                    continue
-                mine, fine = ended[a:b], ok[a:b]
-                if not all_ok:
-                    stats[i].n_aborted += int(b - a - np.count_nonzero(fine))
-                k = restarts[i] = min(b - a, ns[i] - started[i])
-                if k:
-                    done = mine[:k][fine[:k]]
-                    flush(i, slot[done], t[done], peak[done])
-                    started[i] += k
-                    again.append(mine[:k])
-                if k < b - a:  # shard i's pool is empty: stop its other lanes
-                    done = mine[k:][fine[k:]]
-                    retired[i].append((slot[done], t[done], peak[done]))
-                    gone.append(mine[k:])
-                    lanes.sizes[i] -= b - a - k
-            if again:
-                again = np.concatenate(again)
-                z[again] = peak[again] = z0
-                t[again] = 0.0 if start else lanes.draw(_EXP, restarts) * mean_gap[0]
+                for st, k in zip(stats, np.diff(np.searchsorted(cut, bounds)).tolist()):
+                    st.n_aborted += k
+            done = ended[again & ok]
+            if done.size:
+                _flush(occ, stats, sums, np.searchsorted(done, bounds).tolist(), slot[done], t[done], peak[done])
+            restarted = ended[again]
+            if restarted.size:
+                z[restarted] = peak[restarted] = z0
+                t[restarted] = 0.0 if start else lanes.draw(_EXP, restarts) * mean_gap[0]
                 if s:
-                    s_rem[again] = s
-            if gone:
+                    s_rem[restarted] = s
+            if restarted.size < ended.size:  # the other lanes of a shard whose pool is empty stop
+                done = ended[~again & ok]
+                retired.append((np.searchsorted(bounds, done, side="right") - 1, slot[done], t[done], peak[done]))
                 keep = np.ones(m, dtype=bool)
-                keep[np.concatenate(gone)] = False
+                keep[ended[~again]] = False
                 z, peak, t, s_rem, slot = z[keep], peak[keep], t[keep], s_rem[keep], slot[keep]
                 m = len(z)
-    for i, done in enumerate(retired):
-        if done:
-            flush(i, *(np.concatenate(x) for x in zip(*done)))
+                lanes.sizes = (lanes.sizes - count + restarts).tolist()
+                bounds = np.cumsum([0, *lanes.sizes])
+    if retired:
+        shard, cols, td, deep = (np.concatenate(x) for x in zip(*retired))
+        for i in range(len(ns)):  # one shard at a time: stacking the whole group's deepest batch costs memory
+            own = (shard == i).nonzero()[0]
+            if own.size:
+                _flush(occ, stats[i : i + 1], sums[i : i + 1], [0, own.size], cols[own], td[own], deep[own])
     return stats
 
 

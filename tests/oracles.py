@@ -69,3 +69,28 @@ def reference_cycles(env: TailVector, spec, alpha: float, D: int, n: int, rng, l
         for times, x in zip(above, occ):
             times.append(x)
     return lengths, above
+
+
+def reference_flush(occ, stats, sums, cols, td, deep):
+    """One shard's finished excursions added to its CycleStats and sums, the lane kernel's former flush.
+
+    The kernel once flushed each shard on its own with this formula; it is
+    kept as the reference that the group-wide flush must match bit for bit.
+    Excursion j keeps its time per level in occ's column cols[j], lasted
+    td[j] and peaked at level deep[j]; sums holds v, v2 and vt with a last
+    row for every level above k_max. The columns are cleared.
+    """
+    top = sums.shape[1] - 1
+    v, v2, vt = sums
+    stats.n_cycles += len(td)
+    stats.total_time += float(td.sum())
+    stats.t2 += float((td * td).sum())
+    stats.nu_max = max(stats.nu_max, float(td.max(initial=0.0)))
+    hi = int(deep.max(initial=0))
+    stats.max_level = max(stats.max_level, hi)
+    w = min(hi, top) + 1
+    above = occ[w - 1 : 0 : -1, cols].cumsum(axis=0)[::-1]  # row j: time at >= j + 1
+    occ[1:w, cols] = 0.0
+    v[1:w] += above.sum(axis=1)
+    v2[1:w] += (above * above).sum(axis=1)
+    vt[1:w] += (above * td).sum(axis=1)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -30,9 +31,9 @@ from jsqlab import (
     vdk_tail,
 )
 
-from jsqlab.cavity import DEFAULT_TIME_CAP, LANES, ShardStats, _excursions, _mean_gaps
+from jsqlab.cavity import DEFAULT_TIME_CAP, LANES, ShardStats, _excursions, _flush, _mean_gaps
 from jsqlab.service_dist import BlockDraws, make_sampler
-from oracles import FixedU, mc_arrival_oracle, reference_cycles
+from oracles import FixedU, mc_arrival_oracle, reference_cycles, reference_flush
 
 EMPTY_ABOVE_0 = TailVector((1.0,) + (0.0,) * 8)
 EXP = make_spec("exponential")
@@ -352,6 +353,39 @@ class TestShardGroups:
                     for r in (effective_arrival_rate(env, z, 0.7, D) for z in range(env.k_max + 2))]
         assert _mean_gaps(env, 0.7, D).tolist() == expected
 
+    @pytest.mark.parametrize("case, kwargs, digest", [
+        # D = 1 climbs past level 8 and into the shared row above k_max = 16
+        ("deep", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1),
+         "b85e20bde04e1affcd7208ebc0ba0a3c1ddf9e159dbbd16167c95b6c7d16c3e2"),
+        # a cap of 3.0 aborts cycles, and the 5-cycle shard's batches reach level 1 only
+        ("abort", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1, time_cap=3.0),
+         "6ae1f339287e33a347c0ed7ba3fd75f4e76337dcd382179dc58f74a15d47372b"),
+        ("drain", dict(env=TailVector.geometric(0.5, 12), spec=EXP, alpha=0.5, D=2, start=5, s=2.5),
+         "dfec432ab11ae5dd60c3cfeb5f041b0eaace04f5cdbfeab4abbb99fc135e8cd1"),
+        *((kind, dict(env=TailVector.geometric(0.7, 16), spec=make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None),
+                      alpha=0.7, D=2), digest) for kind, digest in [
+            ("exponential", "c798d73ccce9ca1f5ce164c29f4c1e5bf71860bdde3c40ee47f240cf95f2de3b"),
+            ("lomax", "bc13ec7c9c992af3ddc8b3dbb55381225d9146697705ebbf0c7d6e2c410dd5f4"),
+            ("pareto", "c4a8767e20a0533a57e4ae1c220fc0955b6f5e43a05c44051fffb28a2252a53d"),
+            ("deterministic", "6142cf41ae36b0263f3a45fa254b455870d18ead3020f0ff10ff04251af2740e"),
+            ("bounded-uniform", "add811280e06e99507c3e7cb9536c4db061721061231a0296887ca1fc56550ff"),
+        ]),
+    ])
+    def test_group_digest(self, case, kwargs, digest):
+        # digests taken before the flush summed a group's excursions together
+        kw = dict(kwargs)
+        args = [kw.pop(name) for name in ("env", "spec", "alpha", "D")]
+        group = _excursions(*args, self.counts(3), self.streams(3), kw.pop("time_cap", DEFAULT_TIME_CAP), **kw)
+        if case == "deep":
+            assert max(x.max_level for x in group) > 16 and min(x.max_level for x in group) > 8
+        if case == "abort":
+            assert min(x.n_aborted for x in group) > 0 and min(x.max_level for x in group) == 1
+        h = hashlib.sha256()
+        for stats in group:
+            for value in stats_bytes(stats).values():
+                h.update(value if isinstance(value, bytes) else value.encode())
+        assert h.hexdigest() == digest
+
     @pytest.mark.parametrize("spec, alpha, controls, digest", [
         (LOMAX, 0.7, FixedPointControls(k_max=32, cycles_per_iter=3000, damping=0.5, tol=1e-12, noise_rel=0.5,
                                         max_iter=3, seed=11, shards=5),
@@ -365,6 +399,49 @@ class TestShardGroups:
         rep = fixed_point(spec, alpha, 2, controls, workers=workers)
         doc = [rep.env.p, rep.estimate.p, rep.estimate.ci, rep.distances, rep.converged, rep.max_level]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+class TestFlush:
+    """One flush of a group's finished excursions adds exactly what the former per-shard flushes added."""
+
+    @staticmethod
+    def group(seed, depths, counts, top):
+        """Random finished excursions of shard i: counts[i] of them, peaks up to depths[i]; and earlier sums."""
+        rng = np.random.default_rng(seed)
+        n, width = sum(counts), 2 * sum(counts) + 3
+        cols = rng.permutation(width)[:n]  # the end-of-call flush gathers columns in no particular order
+        deep = np.concatenate([rng.integers(1, d + 1, k) for d, k in zip(depths, counts)])
+        occ = np.zeros((top + 1, width))
+        for col, peak in zip(cols, deep):
+            # times over six decades, so that any change in the order of a sum shows in its last bits
+            occ[1 : min(peak, top) + 1, col] = rng.exponential(1.0, min(peak, top)) * 10.0 ** rng.uniform(-3, 3)
+        td = occ[:, cols].sum(axis=0) + rng.exponential(1.0, n)
+        sums = rng.exponential(1.0, (len(counts), 3, top + 1)) * 100.0
+        stats = [CycleStats(k_max=top - 1, n_cycles=7, total_time=rng.exponential(1.0) * 100.0, t2=1e4,
+                            nu_max=5.0, max_level=3, v=v[:top], v2=v2[:top], vt=vt[:top]) for v, v2, vt in sums]
+        return occ, stats, sums, cols, td, deep
+
+    @pytest.mark.parametrize("depths, counts, top", [
+        ([1, 1, 1], [40, 150, 9], 17),  # every batch stays at level 1: pairwise sums
+        ([5, 1, 3, 2], [60, 50, 200, 1], 17),  # one-row and many-row batches in one group
+        ([12, 6, 14], [80, 40, 120], 17),  # past the band of rows every excursion gathers
+        ([30, 1, 9], [100, 60, 30], 17),  # into the shared row above k_max = 16
+        ([9, 1, 20, 4], [70, 0, 90, 0], 13),  # shards with nothing to flush
+    ])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_shard_flush(self, depths, counts, top, seed):
+        occ, stats, sums, cols, td, deep = self.group(seed, depths, counts, top)
+        cuts = [0, *itertools.accumulate(counts)]
+        _flush(occ, stats, sums, cuts, cols, td, deep)
+        ref_occ, ref_stats, ref_sums, *_ = self.group(seed, depths, counts, top)
+        for i, (a, e) in enumerate(zip(cuts, cuts[1:])):
+            if a < e:
+                reference_flush(ref_occ, ref_stats[i], ref_sums[i], cols[a:e], td[a:e], deep[a:e])
+        assert [stats_bytes(x) for x in stats] == [stats_bytes(x) for x in ref_stats]
+        assert sums.tobytes() == ref_sums.tobytes()
+        assert not occ.any() and not ref_occ.any()
+        if max(depths) > top:
+            assert max(x.max_level for x in stats) > top - 1  # the unclipped peak
 
 
 class TestTailFromCycles:
