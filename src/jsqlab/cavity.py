@@ -11,10 +11,11 @@ reciprocal tie split) is retained in the tests as the oracle for alpha_z.
 
 Tail probabilities are estimated over regeneration cycles (excursions from
 the empty state back to empty): the ratio of summed occupation time above a
-level to summed cycle length, with delta-method confidence intervals from
-per-cycle second moments. The fixed-point iteration feeds the estimated tail
-back in as the next environment; its fixed point is the equilibrium
-environment for the infinite-system limit.
+level to summed cycle length. Its delta-method confidence intervals take
+each kernel lane as one unit, a regenerative batch of the cycles that lane
+ran back to back, and use per-lane second moments. The fixed-point iteration
+feeds the estimated tail back in as the next environment; its fixed point is
+the equilibrium environment for the infinite-system limit.
 
 Within one iteration, cycles are split over a fixed number of shards with
 independent derived streams, and stats merge by summation in shard order.
@@ -22,18 +23,9 @@ Iterations are strictly sequential. A shard runs its cycles as numpy lanes,
 LANES at a time in lockstep, with one PCG64 stream seeded from the shard's
 stream. Consecutive shards run in groups, up to GROUP_SHARDS per kernel
 call, so that one numpy step advances the lanes of every shard in the
-group; each shard still draws from its own stream and keeps its own sums.
+group; each shard still draws from its own stream and keeps its own lanes.
 Results depend on the lane count as they do on the shard count, never on
 the grouping, the pool or the worker count.
-
-A shard's sums take its finished excursions in batches: each step's
-excursions whose lanes go on, and at the end of a call all whose lanes
-stopped. Within a batch, each level's moments (an excursion's time at or
-above the level, its square, its product with the excursion's length) add
-in lane order, one excursion after another; a batch that never went above
-level 1 sums them pairwise instead (numpy's sum), as every batch sums its
-lengths and their squares. One flush per step applies this rule to every
-shard of the group at once.
 """
 
 from __future__ import annotations
@@ -92,7 +84,10 @@ def _admitted(q: float, r: float, alpha: float, D: int) -> float:
 class CycleStats:
     """Regenerative-cycle accumulators; shards merge by elementwise addition.
 
-    The per-level sums v, v2 and vt are float arrays indexed by level 0..k_max.
+    The per-level sums v, v2 and vt are float arrays indexed by level 0..k_max,
+    taken over units: each unit is a lane's run of consecutive cycles, and
+    level 0 holds its whole time, so v[0] is the total time and v2[0] the sum
+    of squared unit times. The other fields count single cycles.
     """
 
     k_max: int
@@ -102,9 +97,10 @@ class CycleStats:
     nu_max: float = 0.0  # longest observed cycle
     max_level: int = 0  # deepest level visited in any cycle
     n_aborted: int = 0  # cycles that hit the time cap (estimates invalid if > 0)
+    n_units: int = 0  # lanes whose cycles v, v2 and vt sum, each lane one unit
     v: np.ndarray = None  # summed occupation time with >= k jobs
-    v2: np.ndarray = None  # sum of squared per-cycle occupations
-    vt: np.ndarray = None  # sum of occupation * cycle length
+    v2: np.ndarray = None  # sum of squared per-unit occupations
+    vt: np.ndarray = None  # sum of per-unit occupation * unit time
 
     def __post_init__(self):
         if self.v is None:
@@ -119,6 +115,7 @@ class CycleStats:
         self.nu_max = max(self.nu_max, other.nu_max)
         self.max_level = max(self.max_level, other.max_level)
         self.n_aborted += other.n_aborted
+        self.n_units += other.n_units
         self.v += other.v
         self.v2 += other.v2
         self.vt += other.vt
@@ -200,63 +197,6 @@ class _ShardDraws(BlockDraws):
 
 
 _EXP = np.random.Generator.standard_exponential
-BAND = 8  # occ rows a flush gathers for every finished excursion; deeper rows only for those that reached them
-
-
-def _flush(occ, stats, sums, cuts, cols, td, deep):
-    """Add finished excursions to their shards' CycleStats and sums, and clear their columns of occ.
-
-    Excursions cuts[i]..cuts[i + 1] - 1 belong to shard i, whose CycleStats
-    and v, v2, vt are stats[i] and sums[i]. Excursion j keeps its time per
-    level in occ's column cols[j], lasted td[j] and peaked at level deep[j].
-    Per shard, the excursions' time-at-or-above moments sum one after
-    another in lane order, except that a shard none of whose excursions
-    went above level 1 sums them pairwise (numpy's sum), as do its lengths
-    and squared lengths always; each sum then takes one addition. Rows above
-    BAND are gathered only for the excursions that reached them: the others'
-    rows there are zeros, and adding zeros changes no sum.
-    """
-    shards = [(i, a, e) for i, (a, e) in enumerate(zip(cuts, cuts[1:])) if a < e]
-    firsts = [a for _, a, _ in shards]
-    peaks = np.maximum.reduceat(deep, firsts).tolist()
-    lengths = np.empty((2, len(td)))  # each excursion's length and its square
-    lengths[0] = td
-    np.multiply(td, td, out=lengths[1])
-    for (i, a, e), peak, longest in zip(shards, peaks, np.maximum.reduceat(td, firsts).tolist()):
-        st = stats[i]
-        total, t2 = lengths[:, a:e].sum(axis=1).tolist()
-        st.n_cycles += e - a
-        st.total_time += total
-        st.t2 += t2
-        st.nu_max = max(st.nu_max, longest)
-        st.max_level = max(st.max_level, peak)
-    r = min(max(peaks), sums.shape[2] - 1)  # rows 1..r hold time; the last row is every level above k_max
-    carry = None  # the excursions that went over the band, and their time at >= BAND + 1
-    for lo, hi in ((BAND + 1, r), (1, min(r, BAND))):  # the rows over the band first
-        if lo > hi:
-            continue
-        sub = np.flatnonzero(deep >= lo) if lo > 1 else slice(None)
-        c = cols[sub]
-        x = np.empty((3, hi - lo + 1, len(c)))  # time at >= level lo..hi, its square, its product with the length
-        above = np.take(occ[lo : hi + 1], c, axis=1, out=x[0])
-        for row in occ[lo : hi + 1]:  # a 1-D index assignment per row: twice as fast as one 2-D
-            row[c] = 0.0
-        if carry is not None:
-            above[-1, carry[0]] += carry[1]
-        for j in range(hi - lo - 1, -1, -1):
-            above[j] += above[j + 1]
-        np.multiply(above, above, out=x[1])
-        np.multiply(above, td[sub], out=x[2])
-        at = cuts if lo == 1 else np.searchsorted(sub, cuts).tolist()
-        for (i, _, _), peak in zip(shards, peaks):
-            a, e, deepest = at[i], at[i + 1], min(peak, hi)
-            if a == e:
-                continue
-            if peak > 1:  # in lane order: cumsum adds one after another
-                sums[i, :, lo : deepest + 1] += x[:, : deepest - lo + 1, a:e].cumsum(axis=2)[:, :, -1]
-            else:
-                sums[i, :, 1] += x[:, 0, a:e].sum(axis=1)
-        carry = sub, above[0]  # for the band's pass, which comes second
 
 
 def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0) -> list:
@@ -272,37 +212,42 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     any is left, and every excursion started runs to its end or to the time
     cap, so the long ones are never cut off. The lanes of every shard run in
     lockstep in one set of arrays, one event per lane per numpy step, grouped
-    by shard in shard order through every compaction. Each lane keeps its
-    time per level in one column of occ, whose rows reach only as deep as
-    any lane has gone, with every level above k_max in one shared row.
-    Shard i draws everything from one PCG64 stream seeded from rngs[i] (its
-    derived stream) and keeps its own sums, so its CycleStats do not depend
-    on the group; they depend on LANES as on the shard count.
+    by shard in shard order through every compaction. Shard i draws
+    everything from one PCG64 stream seeded from rngs[i] (its derived
+    stream), so its CycleStats do not depend on the group; they depend on
+    LANES as on the shard count.
 
-    Each step flushes the group's finished excursions whose lanes go on in
-    one _flush call, which sums them per shard in lane order (pairwise for a
-    shard whose batch stayed at level 1); excursions whose lane then stops
-    are flushed at the end, one call per shard over all of its own.
+    Each lane is one unit of the estimator. Its column of occ adds up its
+    time per level over every excursion it runs, idle waits in row 0, with
+    every level above k_max in one shared row; the rows reach only as deep
+    as any lane has gone. At the end, each shard's columns reduce once to
+    per-level sums over its lanes of the time at or above the level, its
+    square and its product with the lane's whole time (row 0). An aborted
+    excursion's time stays in its lane's column: any abort makes
+    tail_from_cycles and measure_return_time raise. The longest excursion,
+    the deepest level and the sum of squared lengths are kept per lane as
+    excursions end, aborted ones left out.
     """
     top = env.k_max + 1  # the shared row of every level above k_max
     mean_gap = _mean_gaps(env, alpha, D)
     draw = make_sampler(service_spec)
     lanes = _ShardDraws([np.random.Generator(np.random.PCG64(r.getrandbits(64))) for r in rngs],
                         [min(n, LANES) for n in ns])
+    bounds = np.cumsum([0, *lanes.sizes])  # shard i's lanes in flight are bounds[i]..bounds[i + 1] - 1
+    cols = bounds.tolist()  # shard i's columns of occ, its units, are cols[i]..cols[i + 1] - 1
     left = np.array(ns) - lanes.sizes  # excursions not yet started, per shard
     m = width = sum(lanes.sizes)  # lanes in flight; occ's columns
     z0 = start or 1  # level at which each excursion starts
     slot = np.arange(m)  # each lane's column in occ
     z = np.full(m, z0)
     peak = z.copy()
+    occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: the lane's time at level
     t = np.zeros(m) if start else lanes.draw(_EXP) * mean_gap[0]
+    occ[0] = t
     s_rem = np.full(m, s) if s else draw(lanes)
-    occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: time at level this excursion
     flat = occ.reshape(-1)  # occ[level, slot] is flat[level * width + slot]
-    sums = np.zeros((len(ns), 3, top + 1))  # per shard v, v2, vt, with the shared row above k_max
-    stats = [CycleStats(k_max=env.k_max, v=v[:top], v2=v2[:top], vt=vt[:top]) for v, v2, vt in sums]
-    bounds = np.cumsum([0, *lanes.sizes])  # shard i's lanes are bounds[i]..bounds[i + 1] - 1
-    retired = []  # (shard, slot, length, peak) of completed excursions whose lane then stopped
+    longest, t2, deepest = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int)  # per slot, over its ended excursions
+    aborted = np.zeros(len(ns), dtype=int)
 
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
         while m:
@@ -332,34 +277,40 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
             ok = ~over[ended]
             if not ok.all():
                 cut = ended[~ok]
-                occ[:, slot[cut]] = 0.0
                 s_rem[cut] = fresh[cut]
-                for st, k in zip(stats, np.diff(np.searchsorted(cut, bounds)).tolist()):
-                    st.n_aborted += k
-            done = ended[again & ok]
-            if done.size:
-                _flush(occ, stats, sums, np.searchsorted(done, bounds).tolist(), slot[done], t[done], peak[done])
+                aborted += np.diff(np.searchsorted(cut, bounds))
+            done = ended[ok]
+            col, td = slot[done], t[done]
+            longest[col] = np.maximum(longest[col], td)
+            t2[col] += td * td
+            deepest[col] = np.maximum(deepest[col], peak[done])
             restarted = ended[again]
             if restarted.size:
                 z[restarted] = peak[restarted] = z0
-                t[restarted] = 0.0 if start else lanes.draw(_EXP, restarts) * mean_gap[0]
+                t[restarted] = wait = 0.0 if start else lanes.draw(_EXP, restarts) * mean_gap[0]
+                occ[0, slot[restarted]] += wait
                 if s:
                     s_rem[restarted] = s
             if restarted.size < ended.size:  # the other lanes of a shard whose pool is empty stop
-                done = ended[~again & ok]
-                retired.append((np.searchsorted(bounds, done, side="right") - 1, slot[done], t[done], peak[done]))
                 keep = np.ones(m, dtype=bool)
                 keep[ended[~again]] = False
                 z, peak, t, s_rem, slot = z[keep], peak[keep], t[keep], s_rem[keep], slot[keep]
                 m = len(z)
                 lanes.sizes = (lanes.sizes - count + restarts).tolist()
                 bounds = np.cumsum([0, *lanes.sizes])
-    if retired:
-        shard, cols, td, deep = (np.concatenate(x) for x in zip(*retired))
-        for i in range(len(ns)):  # one shard at a time: stacking the whole group's deepest batch costs memory
-            own = (shard == i).nonzero()[0]
-            if own.size:
-                _flush(occ, stats[i : i + 1], sums[i : i + 1], [0, own.size], cols[own], td[own], deep[own])
+    for j in range(len(occ) - 2, -1, -1):  # row j becomes each lane's time at >= j, row 0 all of its time
+        occ[j] += occ[j + 1]
+    rows = min(len(occ), top)  # the shared row counts only at the levels below it
+    stats = []
+    for n, k, a, e in zip(ns, aborted.tolist(), cols, cols[1:]):
+        above = occ[:rows, a:e]
+        st = CycleStats(k_max=env.k_max, n_cycles=n - k, n_units=e - a, t2=float(t2[a:e].sum()),
+                        nu_max=float(longest[a:e].max()), max_level=int(deepest[a:e].max()), n_aborted=k)
+        st.v[:rows] = above.sum(axis=1)
+        st.v2[:rows] = np.einsum("ij,ij->i", above, above)
+        st.vt[:rows] = np.einsum("ij,j->i", above, above[0])
+        st.total_time = float(st.v[0])
+        stats.append(st)
     return stats
 
 
@@ -410,28 +361,30 @@ def _run_group(job) -> ShardStats:
 
 
 def tail_from_cycles(stats: CycleStats) -> TailEstimate:
-    """Ratio estimator p[k] = sum V_k / sum nu with delta-method 95% intervals.
+    """Ratio estimator p[k] = sum V_k / sum nu with delta-method 95% intervals over units.
 
-    For a level never visited, the interval is [0, upper] with the
-    rule-of-three visit bound scaled by the worst-case cycle contribution:
-    p[k] <= (3/n) * nu_max / mean(nu). The tail needs no clipping: a cycle's
-    time at >= k is a reverse cumulative sum of nonnegative times, and every
-    rounded sum over cycles and the division by one total keep that order, so
-    p is nonincreasing as computed.
+    The units are the kernel's lanes, each the sum of the cycles it ran
+    (regenerative batching), so the interval divides by n_units, not by the
+    cycle count. For a level never visited, the interval is [0, upper] with
+    the rule-of-three visit bound scaled by the worst-case cycle
+    contribution: p[k] <= 3 * nu_max / sum nu. The tail needs no clipping: a
+    unit's time at >= k is a reverse cumulative sum of nonnegative times,
+    and every rounded sum over units and the division by one total keep that
+    order, so p is nonincreasing as computed.
     """
     if stats.n_aborted:
         raise CycleRunawayError(
             f"{stats.n_aborted} cycle(s) exceeded the time cap; estimates would be biased"
         )
-    if stats.n_cycles < 2:
-        raise ConfigError(f"need at least 2 completed cycles, got {stats.n_cycles}")
-    n = stats.n_cycles
+    if stats.n_units < 2:  # a unit holds at least one completed cycle
+        raise ConfigError(f"need completed cycles from at least 2 lanes, got {stats.n_units}")
+    n = stats.n_units
     mean_nu = stats.total_time / n
-    three_bound = 3.0 / n * (stats.nu_max / mean_nu)
+    three_bound = 3.0 * stats.nu_max / stats.total_time
     v = stats.v[1:]
     r = v / stats.total_time
-    # Var of the per-cycle residual V - r*nu, from the accumulated moments
-    ss = stats.v2[1:] - 2.0 * r * stats.vt[1:] + r * r * stats.t2
+    # Var of the per-unit residual V - r*nu, from the accumulated moments
+    ss = stats.v2[1:] - 2.0 * r * stats.vt[1:] + r * r * stats.v2[0]
     half = Z95 * np.sqrt(np.maximum(ss, 0.0) / (n - 1) / n) / mean_nu
     ci = np.where(v == 0.0, min(1.0, three_bound), half)
     return TailEstimate(p=[1.0, *np.minimum(r, 1.0)], ci=[0.0, *ci])

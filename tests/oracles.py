@@ -71,26 +71,14 @@ def reference_cycles(env: TailVector, spec, alpha: float, D: int, n: int, rng, l
     return lengths, above
 
 
-def reference_flush(occ, stats, sums, cols, td, deep):
-    """One shard's finished excursions added to its CycleStats and sums, the lane kernel's former flush.
+def birth_death_tail(env: TailVector, alpha: float, D: int) -> list:
+    """Exact tail p[0..k_max] of the cavity queue with unit-rate exponential service, for D >= 2.
 
-    The kernel once flushed each shard on its own with this formula; it is
-    kept as the reference that the group-wide flush must match bit for bit.
-    Excursion j keeps its time per level in occ's column cols[j], lasted
-    td[j] and peaked at level deep[j]; sums holds v, v2 and vt with a last
-    row for every level above k_max. The columns are cleared.
+    The queue is then a birth-death chain, pi(z + 1) = alpha_z * pi(z); above
+    k_max the environment is 0, so no arrival is admitted past k_max + 1.
     """
-    top = sums.shape[1] - 1
-    v, v2, vt = sums
-    stats.n_cycles += len(td)
-    stats.total_time += float(td.sum())
-    stats.t2 += float((td * td).sum())
-    stats.nu_max = max(stats.nu_max, float(td.max(initial=0.0)))
-    hi = int(deep.max(initial=0))
-    stats.max_level = max(stats.max_level, hi)
-    w = min(hi, top) + 1
-    above = occ[w - 1 : 0 : -1, cols].cumsum(axis=0)[::-1]  # row j: time at >= j + 1
-    occ[1:w, cols] = 0.0
-    v[1:w] += above.sum(axis=1)
-    v2[1:w] += (above * above).sum(axis=1)
-    vt[1:w] += (above * td).sum(axis=1)
+    pi = [1.0]
+    for z in range(env.k_max + 1):
+        pi.append(pi[-1] * effective_arrival_rate(env, z, alpha, D))
+    total = math.fsum(pi)
+    return [math.fsum(pi[k:]) / total for k in range(env.k_max + 1)]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import pickle
@@ -31,9 +30,10 @@ from jsqlab import (
     vdk_tail,
 )
 
-from jsqlab.cavity import DEFAULT_TIME_CAP, LANES, ShardStats, _excursions, _flush, _mean_gaps
+from jsqlab.cavity import DEFAULT_TIME_CAP, LANES, ShardStats, _excursions, _mean_gaps
 from jsqlab.service_dist import BlockDraws, make_sampler
-from oracles import FixedU, mc_arrival_oracle, reference_cycles, reference_flush
+from jsqlab.tails import Z95
+from oracles import FixedU, birth_death_tail, mc_arrival_oracle, reference_cycles
 
 EMPTY_ABOVE_0 = TailVector((1.0,) + (0.0,) * 8)
 EXP = make_spec("exponential")
@@ -186,6 +186,7 @@ class TestLaneKernel:
         env = TailVector.geometric(0.7, 16)
         stats = simulate_cycles(env, spec, 0.7, 2, n, random.Random(n))
         assert stats.n_cycles + stats.n_aborted == n
+        assert stats.n_units == min(n, LANES)  # each lane one unit of the estimator
         capped = simulate_cycles(env, spec, 0.7, 2, n, random.Random(n), time_cap=3.0)
         assert capped.n_cycles + capped.n_aborted == n
         if n == 5000:
@@ -231,6 +232,20 @@ class TestLaneKernel:
         mean, half = measure_return_time(env, EXP, 0.9, 1, 250, 0.0, 400, random.Random(35))
         assert abs(mean - 250 / (1 - 0.9)) <= 3 * half
 
+    def test_birth_death_oracle_at_the_vdk_fixed_point(self):
+        env = TailVector(tuple(vdk_tail(0.7, 2, k) for k in range(9)))
+        exact = birth_death_tail(env, 0.7, 2)
+        assert all(math.isclose(p, q, rel_tol=1e-12) for p, q in zip(exact, env.p))
+
+    def test_two_choices_match_birth_death_tail(self):
+        # exponential service at D = 2 in an environment that is not a fixed
+        # point, against the exact birth-death tail; seed pinned before any run
+        env = TailVector((1.0, *(0.8 * 0.6**k for k in range(1, 13))))
+        est = tail_from_cycles(simulate_cycles_sharded(env, EXP, 0.7, 2, 200_000, 27))
+        exact = birth_death_tail(env, 0.7, 2)
+        for k in range(1, 5):
+            assert abs(est.p[k] - exact[k]) <= 3 * est.ci[k], k
+
     @pytest.mark.slow
     def test_cycle_law_matches_scalar_reference(self):
         # lomax 1.4 (power-law regime), D = 2, alpha = 0.7, env 0.85**k; seeds
@@ -242,11 +257,15 @@ class TestLaneKernel:
         lengths, above = reference_cycles(env, spec, 0.7, 2, n, random.Random(14), levels=(10, 20))
         stats = simulate_cycles(env, spec, 0.7, 2, n, random.Random(15))
         assert stats.n_cycles == n
+        est = tail_from_cycles(stats)
+        total = math.fsum(lengths)
         for k, ref in zip((10, 20), above):
-            # mean time per cycle with >= k jobs
-            mean = stats.v[k] / n
-            var = stats.v2[k] / n - mean * mean
-            assert abs(mean - statistics.fmean(ref)) <= 4 * math.sqrt((var + statistics.pvariance(ref)) / n), k
+            # the kernel's ratio estimate against the reference's, each with
+            # its delta-method SE: the kernel's over lanes, the reference's over cycles
+            r = math.fsum(ref) / total
+            ss = math.fsum((x - r * nu) ** 2 for x, nu in zip(ref, lengths))
+            ref_se = math.sqrt(ss / (n - 1) / n) / (total / n)
+            assert abs(est.p[k] - r) <= 4 * math.hypot(est.ci[k] / Z95, ref_se), k
         mean = stats.total_time / n
         var = stats.t2 / n - mean * mean
         ref_mean = statistics.fmean(lengths)
@@ -356,23 +375,23 @@ class TestShardGroups:
     @pytest.mark.parametrize("case, kwargs, digest", [
         # D = 1 climbs past level 8 and into the shared row above k_max = 16
         ("deep", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1),
-         "b85e20bde04e1affcd7208ebc0ba0a3c1ddf9e159dbbd16167c95b6c7d16c3e2"),
-        # a cap of 3.0 aborts cycles, and the 5-cycle shard's batches reach level 1 only
+         "cc0fc35a9e8989c5573201d93aa00e6bad0c15e13f0cfa3ba05bf2bca4641b3b"),
+        # a cap of 3.0 aborts cycles, and the 5-cycle shard's completed cycles reach level 1 only
         ("abort", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1, time_cap=3.0),
-         "6ae1f339287e33a347c0ed7ba3fd75f4e76337dcd382179dc58f74a15d47372b"),
+         "cbeae8c223bed095f7e2a4593b6009eb4b2636db2a9db56f91070c14d81fbd35"),
         ("drain", dict(env=TailVector.geometric(0.5, 12), spec=EXP, alpha=0.5, D=2, start=5, s=2.5),
-         "dfec432ab11ae5dd60c3cfeb5f041b0eaace04f5cdbfeab4abbb99fc135e8cd1"),
+         "b155cc540f805f36701e273b9353f45de066e207d8519f06ddeed9a7cdac9b14"),
         *((kind, dict(env=TailVector.geometric(0.7, 16), spec=make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None),
                       alpha=0.7, D=2), digest) for kind, digest in [
-            ("exponential", "c798d73ccce9ca1f5ce164c29f4c1e5bf71860bdde3c40ee47f240cf95f2de3b"),
-            ("lomax", "bc13ec7c9c992af3ddc8b3dbb55381225d9146697705ebbf0c7d6e2c410dd5f4"),
-            ("pareto", "c4a8767e20a0533a57e4ae1c220fc0955b6f5e43a05c44051fffb28a2252a53d"),
-            ("deterministic", "6142cf41ae36b0263f3a45fa254b455870d18ead3020f0ff10ff04251af2740e"),
-            ("bounded-uniform", "add811280e06e99507c3e7cb9536c4db061721061231a0296887ca1fc56550ff"),
+            ("exponential", "e02ad290315deb6b484748e20720e30b4beb2e314b653e1ecd651f32b00d5a29"),
+            ("lomax", "f9b2a5e3b633d780cc09e9df05e6f3bb3ab5a332f529da7e2cd336af5c6e47ed"),
+            ("pareto", "c8c9e366450631b1c59514a53215fa996a4e9a84ee3ab83621c178479f7e4ad1"),
+            ("deterministic", "d482b99264a49ee84142dfdea7290858188a5c615de87c68ee29a15bed7d3840"),
+            ("bounded-uniform", "51351380c6afa00df98b02fa294f96dd815288bbfa10b90631d8f981de09b85b"),
         ]),
     ])
     def test_group_digest(self, case, kwargs, digest):
-        # digests taken before the flush summed a group's excursions together
+        # digests taken with lanes as the estimator's units, whose sums reduce once per call
         kw = dict(kwargs)
         args = [kw.pop(name) for name in ("env", "spec", "alpha", "D")]
         group = _excursions(*args, self.counts(3), self.streams(3), kw.pop("time_cap", DEFAULT_TIME_CAP), **kw)
@@ -389,59 +408,16 @@ class TestShardGroups:
     @pytest.mark.parametrize("spec, alpha, controls, digest", [
         (LOMAX, 0.7, FixedPointControls(k_max=32, cycles_per_iter=3000, damping=0.5, tol=1e-12, noise_rel=0.5,
                                         max_iter=3, seed=11, shards=5),
-         "12ed8763b502cc1e6a6725ec12b4cc811d3bc74e796ebc886b79be24866e2d0c"),
+         "74c8e3b6d95137c6ca71e0cc3a63be2868a94ef58dad3c58d552b9668015f109"),
         (EXP, 0.5, FixedPointControls(k_max=16, cycles_per_iter=2500, tol=1e-12, max_iter=2, seed=3, shards=7),
-         "4e1d85d023e1dcddcbea4c7d33ecf8104b70326f6682305ccc12b874b3b335da"),
+         "717f66a30ba79b47aec06b857133caa84755ec1a984dfc1486ba974d6a6fe6bf"),
     ])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_fixed_point_digest(self, spec, alpha, controls, digest, workers):
-        # digests taken with one kernel call per shard, before shards ran in groups
+        # digests taken with lanes as the estimator's units
         rep = fixed_point(spec, alpha, 2, controls, workers=workers)
         doc = [rep.env.p, rep.estimate.p, rep.estimate.ci, rep.distances, rep.converged, rep.max_level]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
-
-
-class TestFlush:
-    """One flush of a group's finished excursions adds exactly what the former per-shard flushes added."""
-
-    @staticmethod
-    def group(seed, depths, counts, top):
-        """Random finished excursions of shard i: counts[i] of them, peaks up to depths[i]; and earlier sums."""
-        rng = np.random.default_rng(seed)
-        n, width = sum(counts), 2 * sum(counts) + 3
-        cols = rng.permutation(width)[:n]  # the end-of-call flush gathers columns in no particular order
-        deep = np.concatenate([rng.integers(1, d + 1, k) for d, k in zip(depths, counts)])
-        occ = np.zeros((top + 1, width))
-        for col, peak in zip(cols, deep):
-            # times over six decades, so that any change in the order of a sum shows in its last bits
-            occ[1 : min(peak, top) + 1, col] = rng.exponential(1.0, min(peak, top)) * 10.0 ** rng.uniform(-3, 3)
-        td = occ[:, cols].sum(axis=0) + rng.exponential(1.0, n)
-        sums = rng.exponential(1.0, (len(counts), 3, top + 1)) * 100.0
-        stats = [CycleStats(k_max=top - 1, n_cycles=7, total_time=rng.exponential(1.0) * 100.0, t2=1e4,
-                            nu_max=5.0, max_level=3, v=v[:top], v2=v2[:top], vt=vt[:top]) for v, v2, vt in sums]
-        return occ, stats, sums, cols, td, deep
-
-    @pytest.mark.parametrize("depths, counts, top", [
-        ([1, 1, 1], [40, 150, 9], 17),  # every batch stays at level 1: pairwise sums
-        ([5, 1, 3, 2], [60, 50, 200, 1], 17),  # one-row and many-row batches in one group
-        ([12, 6, 14], [80, 40, 120], 17),  # past the band of rows every excursion gathers
-        ([30, 1, 9], [100, 60, 30], 17),  # into the shared row above k_max = 16
-        ([9, 1, 20, 4], [70, 0, 90, 0], 13),  # shards with nothing to flush
-    ])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_per_shard_flush(self, depths, counts, top, seed):
-        occ, stats, sums, cols, td, deep = self.group(seed, depths, counts, top)
-        cuts = [0, *itertools.accumulate(counts)]
-        _flush(occ, stats, sums, cuts, cols, td, deep)
-        ref_occ, ref_stats, ref_sums, *_ = self.group(seed, depths, counts, top)
-        for i, (a, e) in enumerate(zip(cuts, cuts[1:])):
-            if a < e:
-                reference_flush(ref_occ, ref_stats[i], ref_sums[i], cols[a:e], td[a:e], deep[a:e])
-        assert [stats_bytes(x) for x in stats] == [stats_bytes(x) for x in ref_stats]
-        assert sums.tobytes() == ref_sums.tobytes()
-        assert not occ.any() and not ref_occ.any()
-        if max(depths) > top:
-            assert max(x.max_level for x in stats) > top - 1  # the unclipped peak
 
 
 class TestTailFromCycles:
@@ -461,16 +437,17 @@ class TestTailFromCycles:
             assert vec.p[k] >= vec.p[k + 1]
 
     def test_degenerate_variance_zero_width(self):
-        # identical cycles: the delta-method residual vanishes exactly
+        # identical units: the delta-method residual vanishes exactly
         stats = CycleStats(k_max=1)
         for _ in range(3):
             stats.n_cycles += 1
+            stats.n_units += 1
             stats.total_time += 2.0
             stats.t2 += 4.0
             stats.nu_max = 2.0
-            stats.v[1] += 1.0
-            stats.v2[1] += 1.0
-            stats.vt[1] += 2.0
+            stats.v += (2.0, 1.0)  # the unit's whole time, its time at >= 1
+            stats.v2 += (4.0, 1.0)
+            stats.vt += (4.0, 2.0)
         est = tail_from_cycles(stats)
         assert est.p[1] == 0.5
         assert est.ci[1] == 0.0
