@@ -96,7 +96,7 @@ class CycleStats:
     t2: float = 0.0  # sum of squared cycle lengths
     nu_max: float = 0.0  # longest observed cycle
     max_level: int = 0  # deepest level visited in any cycle
-    n_aborted: int = 0  # cycles that hit the time cap (estimates invalid if > 0)
+    n_aborted: int = 0  # always 0, since a cycle past the time cap raises; bench/spans.py reads it
     n_units: int = 0  # lanes whose cycles v, v2 and vt sum, each lane one unit
     v: np.ndarray = None  # summed occupation time with >= k jobs
     v2: np.ndarray = None  # sum of squared per-unit occupations
@@ -114,7 +114,6 @@ class CycleStats:
         self.t2 += other.t2
         self.nu_max = max(self.nu_max, other.nu_max)
         self.max_level = max(self.max_level, other.max_level)
-        self.n_aborted += other.n_aborted
         self.n_units += other.n_units
         self.v += other.v
         self.v2 += other.v2
@@ -139,8 +138,9 @@ def simulate_cycles(
 
     One cycle is the idle wait for the first admitted arrival plus the busy
     period it starts. Service is FIFO at rate 1 with fresh draws from the
-    service law; only the job in service carries a residual. A cycle that
-    exceeds time_cap is aborted and counted in n_aborted.
+    service law; only the job in service carries a residual. A cycle still
+    running past time_cap raises CycleRunawayError, so every cycle in the
+    returned stats ran to its end.
 
     n_cycles and rng may instead be equal-length lists, one count and one
     stream per shard of a group. The shards then run in one lockstep loop,
@@ -209,24 +209,23 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
 
     Shard i runs exactly ns[i] excursions, up to LANES at a time, from its
     own pool: a lane whose excursion ends takes the shard's next one while
-    any is left, and every excursion started runs to its end or to the time
-    cap, so the long ones are never cut off. The lanes of every shard run in
-    lockstep in one set of arrays, one event per lane per numpy step, grouped
-    by shard in shard order through every compaction. Shard i draws
-    everything from one PCG64 stream seeded from rngs[i] (its derived
-    stream), so its CycleStats do not depend on the group; they depend on
-    LANES as on the shard count.
+    any is left, and every excursion started runs to its end, so the long
+    ones are never cut off. Once any lane's time passes time_cap, the call
+    raises CycleRunawayError. The lanes of every shard run in lockstep in
+    one set of arrays, one event per lane per numpy step, grouped by shard
+    in shard order through every compaction. Shard i draws everything from
+    one PCG64 stream seeded from rngs[i] (its derived stream), so its
+    CycleStats do not depend on the group; they depend on LANES as on the
+    shard count.
 
     Each lane is one unit of the estimator. Its column of occ adds up its
     time per level over every excursion it runs, idle waits in row 0, with
     every level above k_max in one shared row; the rows reach only as deep
     as any lane has gone. At the end, each shard's columns reduce once to
     per-level sums over its lanes of the time at or above the level, its
-    square and its product with the lane's whole time (row 0). An aborted
-    excursion's time stays in its lane's column: any abort makes
-    tail_from_cycles and measure_return_time raise. The longest excursion,
-    the deepest level and the sum of squared lengths are kept per lane as
-    excursions end, aborted ones left out.
+    square and its product with the lane's whole time (row 0). The longest
+    excursion, the deepest level and the sum of squared lengths are kept per
+    lane as excursions end.
     """
     top = env.k_max + 1  # the shared row of every level above k_max
     mean_gap = _mean_gaps(env, alpha, D)
@@ -247,7 +246,6 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     s_rem = np.full(m, s) if s else draw(lanes)
     flat = occ.reshape(-1)  # occ[level, slot] is flat[level * width + slot]
     longest, t2, deepest = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int)  # per slot, over its ended excursions
-    aborted = np.zeros(len(ns), dtype=int)
 
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
         while m:
@@ -257,16 +255,16 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
             dt = np.fmin(gap, s_rem)  # the earlier event; fmin passes over a nan gap (no arrival)
             flat[level * width + slot] += dt
             t += dt
+            if t.max() > time_cap:
+                raise CycleRunawayError(f"an excursion exceeded the time cap {time_cap}; estimates would be biased")
             z += np.where(arrive, 1, -1)
-            fresh = draw(lanes)
-            s_rem = np.where(arrive, s_rem - dt, fresh)  # after a departure, the next job's service
+            s_rem = np.where(arrive, s_rem - dt, draw(lanes))  # after a departure, the next job's service
             np.maximum(peak, z, out=peak)
             if len(occ) <= top and z.max() >= len(occ):
                 grown = np.zeros((min(2 * len(occ), top + 1), width))
                 grown[: len(occ)] = occ
                 occ, flat = grown, grown.reshape(-1)
-            over = t > time_cap
-            ended = ((z == 0) | over).nonzero()[0]
+            ended = (z == 0).nonzero()[0]
             if not ended.size:
                 continue
             at = np.searchsorted(ended, bounds)  # shard i's ended lanes are ended[at[i]:at[i + 1]]
@@ -274,16 +272,10 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
             restarts = np.minimum(count, left)  # a shard's first ended lanes take its next excursions
             left -= restarts
             again = np.arange(ended.size) < np.repeat(at[:-1] + restarts, count)
-            ok = ~over[ended]
-            if not ok.all():
-                cut = ended[~ok]
-                s_rem[cut] = fresh[cut]
-                aborted += np.diff(np.searchsorted(cut, bounds))
-            done = ended[ok]
-            col, td = slot[done], t[done]
+            col, td = slot[ended], t[ended]
             longest[col] = np.maximum(longest[col], td)
             t2[col] += td * td
-            deepest[col] = np.maximum(deepest[col], peak[done])
+            deepest[col] = np.maximum(deepest[col], peak[ended])
             restarted = ended[again]
             if restarted.size:
                 z[restarted] = peak[restarted] = z0
@@ -302,10 +294,10 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
         occ[j] += occ[j + 1]
     rows = min(len(occ), top)  # the shared row counts only at the levels below it
     stats = []
-    for n, k, a, e in zip(ns, aborted.tolist(), cols, cols[1:]):
+    for n, a, e in zip(ns, cols, cols[1:]):
         above = occ[:rows, a:e]
-        st = CycleStats(k_max=env.k_max, n_cycles=n - k, n_units=e - a, t2=float(t2[a:e].sum()),
-                        nu_max=float(longest[a:e].max()), max_level=int(deepest[a:e].max()), n_aborted=k)
+        st = CycleStats(k_max=env.k_max, n_cycles=n, n_units=e - a, t2=float(t2[a:e].sum()),
+                        nu_max=float(longest[a:e].max()), max_level=int(deepest[a:e].max()))
         st.v[:rows] = above.sum(axis=1)
         st.v2[:rows] = np.einsum("ij,ij->i", above, above)
         st.vt[:rows] = np.einsum("ij,j->i", above, above[0])
@@ -370,12 +362,9 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
     contribution: p[k] <= 3 * nu_max / sum nu. The tail needs no clipping: a
     unit's time at >= k is a reverse cumulative sum of nonnegative times,
     and every rounded sum over units and the division by one total keep that
-    order, so p is nonincreasing as computed.
+    order, so p is nonincreasing as computed. Every cycle in stats ran to its
+    end: the kernel raises at the time cap rather than return a capped one.
     """
-    if stats.n_aborted:
-        raise CycleRunawayError(
-            f"{stats.n_aborted} cycle(s) exceeded the time cap; estimates would be biased"
-        )
     if stats.n_units < 2:  # a unit holds at least one completed cycle
         raise ConfigError(f"need completed cycles from at least 2 lanes, got {stats.n_units}")
     n = stats.n_units
@@ -524,6 +513,7 @@ def measure_return_time(
     s = 0 means the residual of the job entering service is unknown and a
     fresh service time is drawn, matching the just-after-departure convention.
     Diagnostic companion to the linear return-time bound 2*(k + s + const).
+    A drain still running past time_cap raises CycleRunawayError.
     """
     _check_alpha_d(alpha, D)
     check_int("k", k, 1)
@@ -531,8 +521,6 @@ def measure_return_time(
         raise ConfigError(f"residual s must be >= 0, got {s}")
     check_int("n_reps", n_reps, 2)
     (stats,) = _excursions(env, service_spec, alpha, D, [n_reps], [rng], time_cap, start=k, s=s)
-    if stats.n_aborted:
-        raise CycleRunawayError(f"{stats.n_aborted} return-time excursion(s) exceeded the cap {time_cap}")
     mean = stats.total_time / n_reps
     var = max(stats.t2 - n_reps * mean * mean, 0.0) / (n_reps - 1)
     half = Z95 * math.sqrt(var / n_reps)

@@ -155,11 +155,14 @@ class TestSimulateCycles:
         with pytest.raises(ConfigError, match="shards"):
             simulate_cycles_sharded(TailVector.geometric(0.5, 8), EXP, 0.5, 2, 100, 13, shards=shards)
 
+    def test_merge_needs_equal_k_max(self):
+        with pytest.raises(ConfigError, match="k_max"):
+            CycleStats(k_max=1).merge(CycleStats(k_max=2))
+
     def test_runaway_guard_counts_and_fails(self):
-        stats = simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, 50, random.Random(5), time_cap=1e-4)
-        assert stats.n_aborted > 0
-        with pytest.raises(CycleRunawayError):
-            tail_from_cycles(stats)
+        # a capped cycle would bias the ratio estimator, so the kernel raises, naming the cap
+        with pytest.raises(CycleRunawayError, match="time cap 0.0001"):
+            simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, 50, random.Random(5), time_cap=1e-4)
 
 
 class TestLaneKernel:
@@ -185,12 +188,11 @@ class TestLaneKernel:
         spec = make_spec("lomax", 1.4)
         env = TailVector.geometric(0.7, 16)
         stats = simulate_cycles(env, spec, 0.7, 2, n, random.Random(n))
-        assert stats.n_cycles + stats.n_aborted == n
+        assert stats.n_cycles == n
         assert stats.n_units == min(n, LANES)  # each lane one unit of the estimator
-        capped = simulate_cycles(env, spec, 0.7, 2, n, random.Random(n), time_cap=3.0)
-        assert capped.n_cycles + capped.n_aborted == n
-        if n == 5000:
-            assert 0 < capped.n_aborted < n
+        if n == 5000:  # some cycle runs past a cap of 3.0
+            with pytest.raises(CycleRunawayError, match="time cap 3.0"):
+                simulate_cycles(env, spec, 0.7, 2, n, random.Random(n), time_cap=3.0)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_lane_draws_match_scalar_draws(self, kind):
@@ -303,20 +305,27 @@ class TestShardGroups:
     def streams(shards):
         return [random.Random(700 + i) for i in range(shards)]
 
-    @pytest.mark.parametrize("time_cap", [DEFAULT_TIME_CAP, 3.0])  # 3.0 takes the abort path
+    @pytest.mark.parametrize("time_cap", [DEFAULT_TIME_CAP, 3.0])  # some shards run a cycle past 3.0
     @pytest.mark.parametrize("shards, groups", GROUPINGS)
     def test_cycles(self, shards, groups, time_cap):
+        # a group raises exactly when one of its shards raises alone, and otherwise returns their stats
         env, counts = TailVector.geometric(0.7, 16), self.counts(shards)
-        alone = [simulate_cycles(env, LOMAX, 0.7, 2, n, r, time_cap=time_cap)
-                 for n, r in zip(counts, self.streams(shards))]
-        together = []
-        for ns, rs in zip(grouped(counts, groups), grouped(self.streams(shards), groups)):
-            group = simulate_cycles(env, LOMAX, 0.7, 2, ns, rs, time_cap=time_cap)
-            assert isinstance(group, ShardStats) and len(group) == len(ns)
-            together += group
-        assert [stats_bytes(x) for x in together] == [stats_bytes(x) for x in alone]
-        if time_cap == 3.0:
-            assert sum(x.n_aborted for x in alone) > 0
+
+        def run(ns, rs):
+            try:
+                return simulate_cycles(env, LOMAX, 0.7, 2, ns, rs, time_cap=time_cap)
+            except CycleRunawayError:
+                return None
+
+        alone = [run(n, r) for n, r in zip(counts, self.streams(shards))]
+        assert (None in alone) == (time_cap == 3.0)
+        for ns, rs, solo in zip(grouped(counts, groups), grouped(self.streams(shards), groups), grouped(alone, groups)):
+            group = run(ns, rs)
+            if None in solo:
+                assert group is None
+            else:
+                assert isinstance(group, ShardStats) and len(group) == len(ns)
+                assert [stats_bytes(x) for x in group] == [stats_bytes(x) for x in solo]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_law(self, kind):
@@ -376,9 +385,9 @@ class TestShardGroups:
         # D = 1 climbs past level 8 and into the shared row above k_max = 16
         ("deep", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1),
          "cc0fc35a9e8989c5573201d93aa00e6bad0c15e13f0cfa3ba05bf2bca4641b3b"),
-        # a cap of 3.0 aborts cycles, and the 5-cycle shard's completed cycles reach level 1 only
-        ("abort", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1, time_cap=3.0),
-         "cbeae8c223bed095f7e2a4593b6009eb4b2636db2a9db56f91070c14d81fbd35"),
+        # the deep case under a cap just above its longest excursion (445.6): the cap changes no byte
+        ("capped", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1, time_cap=446.0),
+         "cc0fc35a9e8989c5573201d93aa00e6bad0c15e13f0cfa3ba05bf2bca4641b3b"),
         ("drain", dict(env=TailVector.geometric(0.5, 12), spec=EXP, alpha=0.5, D=2, start=5, s=2.5),
          "b155cc540f805f36701e273b9353f45de066e207d8519f06ddeed9a7cdac9b14"),
         *((kind, dict(env=TailVector.geometric(0.7, 16), spec=make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None),
@@ -397,8 +406,8 @@ class TestShardGroups:
         group = _excursions(*args, self.counts(3), self.streams(3), kw.pop("time_cap", DEFAULT_TIME_CAP), **kw)
         if case == "deep":
             assert max(x.max_level for x in group) > 16 and min(x.max_level for x in group) > 8
-        if case == "abort":
-            assert min(x.n_aborted for x in group) > 0 and min(x.max_level for x in group) == 1
+        if case == "capped":
+            assert 445.0 < max(x.nu_max for x in group) < 446.0
         h = hashlib.sha256()
         for stats in group:
             for value in stats_bytes(stats).values():
@@ -537,9 +546,14 @@ class TestFixedPoint:
         with pytest.raises(ConfigError):
             FixedPointControls(noise_rel=noise_rel)
 
+    @pytest.mark.parametrize("name, value", [("damping", 0.0), ("damping", 1.5), ("tol", 0.0), ("tol", -1.0)])
+    def test_damping_and_tol_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name}"):
+            FixedPointControls(**{name: value})
+
     @pytest.mark.parametrize("time_cap", [0.0, -1.0, math.nan])
     def test_time_cap_rejected(self, time_cap):
-        # a non-positive cap aborts every cycle
+        # a non-positive cap would stop every run at its first step
         with pytest.raises(ConfigError):
             FixedPointControls(time_cap=time_cap)
 

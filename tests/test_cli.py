@@ -61,6 +61,8 @@ class TestConfigDocuments:
         ("simulate", NET_DOC, "horizon", math.inf),  # written as Infinity
         pytest.param("cavity", CAV_DOC, "alpha", int("9" * 400), id="cavity-alpha-too-large-for-a-float"),
         ("cavity", CAV_DOC, "service", {"kind": "lomax", "beta": "1.4"}),
+        ("simulate", CAV_DOC, "mode", "cavity"),  # a cavity document passed to simulate
+        ("cavity", CAV_DOC, "service", {"kind": 3}),
     ])
     def test_bad_document_exits_before_any_work(self, tmp_path, capsys, command, base, key, value):
         out = tmp_path / "sub" / "bad"
@@ -217,6 +219,8 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         bad.write_bytes(b'{"N": "\xff"}')  # not UTF-8
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        bad.write_text("[1, 2]")  # JSON, but not a document
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
 class TestCavity:
@@ -265,6 +269,14 @@ class TestCavity:
         rc = main(["cavity", "--d-choices", "1", "--alpha", "0.5", "--service", "exponential",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("workers", ["1", "2"])  # at 2 the error crosses the process pool
+    def test_cycle_past_the_time_cap_exits_3_without_outputs(self, tmp_path, capsys, workers):
+        doc = {"mode": "cavity", "D": 2, "alpha": 0.7, "service": {"kind": "lomax", "beta": 1.4},
+               "cycles_per_iter": 20_000, "max_iter": 3, "seed": 1, "time_cap": 5.0}
+        assert run_doc(tmp_path, "cavity", doc, tmp_path / "cav", "--workers", workers) == EXIT_RUNTIME
+        assert not list(tmp_path.glob("cav*"))
+        assert "time cap 5.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--noise-rel", "-0.1"], ["--noise-rel", "nan"], ["--shards", "0"]])
     def test_bad_controls_exit_before_any_work(self, tmp_path, flag):

@@ -114,6 +114,8 @@ class TestConfig:
             small_config(seed=-1)
         with pytest.raises(ConfigError):
             small_config(warmup_fraction=1.0)
+        with pytest.raises(ConfigError, match="horizon too short"):
+            small_config(horizon=5e-324)  # positive, but a batch's length underflows to 0
 
     @pytest.mark.parametrize("key, value", [("N", True), ("D", True), ("k_max", 2.5), ("n_batches", 2.5),
                                             ("pair_level", True), ("pair_level", 2.5), ("pair_level", 0)])
@@ -134,6 +136,10 @@ class TestConfig:
     def test_round_trip(self):
         cfg = small_config()
         assert read_config(self.document(cfg), {}, NetworkConfig) == [cfg]
+
+    def test_integral_float_count_reads_as_int(self):
+        (cfg,) = read_config({**self.document(small_config()), "N": 500.0}, {}, NetworkConfig)
+        assert cfg.N == 500 and type(cfg.N) is int
 
     def test_from_config_rejects_unknown(self):
         doc = self.document(small_config())
@@ -410,6 +416,10 @@ class TestReplications:
         runs = [run_replication(cfg, i) for i in range(3)]
         for est in [r.tail for r in runs] + [merge_estimates(runs)]:
             assert all(a >= b for a, b in zip(est.p, est.p[1:]))
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ConfigError, match="no replications"):
+            merge_estimates([])
 
     def test_single_run_passthrough(self):
         cfg = small_config(horizon=150.0)
