@@ -171,34 +171,6 @@ def _mean_gaps(env: TailVector, alpha: float, D: int) -> np.ndarray:
     return gaps
 
 
-class _ShardDraws(BlockDraws):
-    """A BlockDraws over a group of shards: shard i's sizes[i] lanes, after shard i - 1's, draw from gens[i].
-
-    A generator's draw into out= gives the values of its sized draw, so each
-    shard's lanes get what they would in a call of that shard alone.
-    """
-
-    def __init__(self, gens, sizes):
-        self.gens, self.sizes = gens, sizes
-
-    def draw(self, method, sizes=None) -> np.ndarray:
-        """One array of method(gen, out=...) over the shards, sizes[i] values from shard i."""
-        sizes = self.sizes if sizes is None else sizes
-        out = np.empty(sum(sizes))
-        a = 0
-        for gen, k in zip(self.gens, sizes):
-            if k:  # a shard with no live lanes makes no call
-                method(gen, out=out[a : a + k])
-                a += k
-        return out
-
-    def random(self):
-        return self.draw(np.random.Generator.random)
-
-
-_EXP = np.random.Generator.standard_exponential
-
-
 def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0) -> list:
     """The excursion kernel behind simulate_cycles and measure_return_time: one CycleStats per shard.
 
@@ -223,15 +195,15 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     every level above k_max in one shared row; the rows reach only as deep
     as any lane has gone. At the end, each shard's columns reduce once to
     per-level sums over its lanes of the time at or above the level, its
-    square and its product with the lane's whole time (row 0). The longest
-    excursion, the deepest level and the sum of squared lengths are kept per
-    lane as excursions end.
+    square and its product with the lane's whole time (row 0). The deepest
+    level is kept per lane as it climbs, every step; the longest excursion
+    and the sum of squared lengths as its excursions end.
     """
     top = env.k_max + 1  # the shared row of every level above k_max
     mean_gap = _mean_gaps(env, alpha, D)
     draw = make_sampler(service_spec)
-    lanes = _ShardDraws([np.random.Generator(np.random.PCG64(r.getrandbits(64))) for r in rngs],
-                        [min(n, LANES) for n in ns])
+    lanes = BlockDraws([np.random.Generator(np.random.PCG64(r.getrandbits(64))) for r in rngs],
+                       [min(n, LANES) for n in ns])
     bounds = np.cumsum([0, *lanes.sizes])  # shard i's lanes in flight are bounds[i]..bounds[i + 1] - 1
     cols = bounds.tolist()  # shard i's columns of occ, its units, are cols[i]..cols[i + 1] - 1
     left = np.array(ns) - lanes.sizes  # excursions not yet started, per shard
@@ -239,18 +211,18 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     z0 = start or 1  # level at which each excursion starts
     slot = np.arange(m)  # each lane's column in occ
     z = np.full(m, z0)
-    peak = z.copy()
     occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: the lane's time at level
-    t = np.zeros(m) if start else lanes.draw(_EXP) * mean_gap[0]
+    t = np.zeros(m) if start else lanes.draw("standard_exponential") * mean_gap[0]
     occ[0] = t
     s_rem = np.full(m, s) if s else draw(lanes)
     flat = occ.reshape(-1)  # occ[level, slot] is flat[level * width + slot]
-    longest, t2, deepest = np.zeros(m), np.zeros(m), np.zeros(m, dtype=int)  # per slot, over its ended excursions
+    longest, t2 = np.zeros(m), np.zeros(m)  # per slot, over its ended excursions
+    deepest = z.copy()  # per slot, over its excursions
 
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
         while m:
             level = np.minimum(z, top)
-            gap = lanes.draw(_EXP) * mean_gap[level]
+            gap = lanes.draw("standard_exponential") * mean_gap[level]
             arrive = gap < s_rem
             dt = np.fmin(gap, s_rem)  # the earlier event; fmin passes over a nan gap (no arrival)
             flat[level * width + slot] += dt
@@ -259,7 +231,7 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
                 raise CycleRunawayError(f"an excursion exceeded the time cap {time_cap}; estimates would be biased")
             z += np.where(arrive, 1, -1)
             s_rem = np.where(arrive, s_rem - dt, draw(lanes))  # after a departure, the next job's service
-            np.maximum(peak, z, out=peak)
+            deepest[slot] = np.maximum(deepest[slot], z)
             if len(occ) <= top and z.max() >= len(occ):
                 grown = np.zeros((min(2 * len(occ), top + 1), width))
                 grown[: len(occ)] = occ
@@ -275,18 +247,17 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
             col, td = slot[ended], t[ended]
             longest[col] = np.maximum(longest[col], td)
             t2[col] += td * td
-            deepest[col] = np.maximum(deepest[col], peak[ended])
             restarted = ended[again]
             if restarted.size:
-                z[restarted] = peak[restarted] = z0
-                t[restarted] = wait = 0.0 if start else lanes.draw(_EXP, restarts) * mean_gap[0]
+                z[restarted] = z0
+                t[restarted] = wait = 0.0 if start else lanes.draw("standard_exponential", restarts) * mean_gap[0]
                 occ[0, slot[restarted]] += wait
                 if s:
                     s_rem[restarted] = s
             if restarted.size < ended.size:  # the other lanes of a shard whose pool is empty stop
                 keep = np.ones(m, dtype=bool)
                 keep[ended[~again]] = False
-                z, peak, t, s_rem, slot = z[keep], peak[keep], t[keep], s_rem[keep], slot[keep]
+                z, t, s_rem, slot = z[keep], t[keep], s_rem[keep], slot[keep]
                 m = len(z)
                 lanes.sizes = (lanes.sizes - count + restarts).tolist()
                 bounds = np.cumsum([0, *lanes.sizes])
@@ -348,8 +319,7 @@ def simulate_cycles_sharded(
 
 
 def _run_group(job) -> ShardStats:
-    env, spec, alpha, D, ns, rngs, cap = job
-    return simulate_cycles(env, spec, alpha, D, ns, rngs, time_cap=cap)
+    return simulate_cycles(*job)  # a job is simulate_cycles' arguments, in order
 
 
 def tail_from_cycles(stats: CycleStats) -> TailEstimate:

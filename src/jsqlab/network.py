@@ -172,7 +172,8 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
     draw = make_sampler(config.service)
     gap = _reader(lambda: (gap_gen.standard_exponential(BLOCK) / rate_in).tolist())
     sample = _reader(lambda: sample_rows(row_gen, N, D, BLOCK).tolist())
-    service = _reader(lambda: draw(BlockDraws(svc_gen, BLOCK)).tolist())
+    svc_draws = BlockDraws([svc_gen], [BLOCK])
+    service = _reader(lambda: draw(svc_draws).tolist())
     pair_at = pair_level or 0  # level 0 never changes, so 0 disables the tracker
 
     # window b ends at ends[b]: window 0 is the warm-up, 1..nb the batches

@@ -20,9 +20,12 @@ beta/s_min), which callers can detect through ``decreasing_hazard``.
 Sampling is by inverse transform of the survival function, so each draw is a
 deterministic function of a single uniform variate. A sampler draws only
 through its argument's ``random()`` and ``expovariate(1.0)`` and returns
-draws in the shape of ``random()``'s: an array from a ``BlockDraws``, which
-both simulators pass (one draw per cavity lane in flight, or one block of
-the network's service stream), and a float from the tests' ``random.Random``.
+draws in the shape of ``random()``'s: a float from the tests'
+``random.Random``, or an array from a ``BlockDraws``, the one adapter from
+numpy generators that both simulators pass. The network's holds its service
+stream alone and returns a block of it per call; the cavity kernel's holds
+one stream per shard of a group and returns one draw per lane in flight,
+each shard's lanes from its own stream.
 
 Closed forms are fixed on the whole half-line, not just for large s; this is
 strictly stronger than only prescribing the far tail and is relied on by the
@@ -140,20 +143,37 @@ def cdf(spec: ServiceDistributionSpec, s: float) -> float:
 
 
 class BlockDraws:
-    """random.Random's two draws for a service sampler, an array of ``size`` draws per call."""
+    """random.Random's two draws for a service sampler, from numpy generators, one array per call.
 
-    def __init__(self, gen, size: int):
-        self.gen, self.size = gen, size
+    Each call returns one array holding sizes[i] draws from gens[i], after
+    those of gens[i - 1]; a size of 0 makes no call on its generator. A
+    generator's draw into out= gives the values of its sized draw, so each
+    generator's slice is what a call on it alone would return.
+    """
+
+    def __init__(self, gens, sizes):
+        self.gens, self.sizes = gens, sizes
+
+    def draw(self, method: str, sizes=None) -> np.ndarray:
+        """One array of gen.method(out=...) over the generators, sizes[i] values from gens[i]."""
+        sizes = self.sizes if sizes is None else sizes
+        out = np.empty(sum(sizes))
+        a = 0
+        for gen, k in zip(self.gens, sizes):
+            if k:
+                getattr(gen, method)(out=out[a : a + k])
+                a += k
+        return out
 
     def random(self):
-        return self.gen.random(self.size)
+        return self.draw("random")
 
     def expovariate(self, lambd):
         return -np.log(1.0 - self.random()) / lambd  # random.Random's formula
 
 
 def make_sampler(spec: ServiceDistributionSpec) -> Callable:
-    """Fast inverse-transform sampler: rng -> one service time, or an array from a ``BlockDraws``.
+    """Fast inverse-transform sampler: rng -> one service time, or an array of them from a ``BlockDraws``.
 
     The returned closure consumes exactly one uniform variate per draw,
     mapping u = 1 - rng.random() (uniform on (0, 1]) through the inverse of

@@ -202,12 +202,14 @@ class TestLaneKernel:
         u[:3] = (0.0, 1e-12, 1.0 - 2.0**-53)
 
         class Uniforms:
-            def random(self, size):
-                assert size == len(u)
-                return u
+            """A generator that the adapter fills from: it hands out u."""
+
+            def random(self, out):
+                assert len(out) == len(u)
+                out[:] = u
 
         draw = make_sampler(spec)
-        block = draw(BlockDraws(Uniforms(), len(u)))
+        block = draw(BlockDraws([Uniforms()], [len(u)]))
         scalar = np.array([draw(FixedU([x])) for x in u])
         # lomax subtracts sigma from sigma * (1 - u)**(-1/beta): an ulp of the
         # power, numpy's or libm's, is an ulp of the draw plus sigma

@@ -1,5 +1,7 @@
 """Network simulator: oracles, audits, exchangeability, determinism."""
 
+import hashlib
+import json
 import math
 import statistics
 from collections import Counter
@@ -201,6 +203,19 @@ class TestRunNetwork:
         default = run_fields(run_network(cfg, pair_level=1))
         monkeypatch.setattr(network, "BLOCK", 7)
         assert run_fields(run_network(cfg, pair_level=1)) == default
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("exponential", "b3f883beea774a034903471e656647795de18c7221b7df55af4ad21bb5664f09"),
+        ("lomax", "43d7a815381ee10d8037606766a374c0f35011602b80f6ec43010c145f130f44"),
+        ("pareto", "51111220fa8d51330094f0d160e640cd4a208ebe06c65d3002653887f1e69b23"),
+        ("deterministic", "ce9003d176bbfc8c52635d1886fee47b0d9fe82ff7d1b8b2fb43d3326f3fca3d"),
+        ("bounded-uniform", "6cf922a117b8526e053f9633e1fd744be8a2449a9d45c054600d611b5c83efb2"),
+    ])
+    def test_run_digest(self, kind, digest):
+        # pins the run's outputs, bit for bit, under each law's service draws
+        run = run_network(small_config(N=50, horizon=200.0, service=law(kind)), pair_level=1)
+        doc = [run.tail.p, run.tail.ci, run.arrivals, run.departures, run.lengths_end, run.pair_batches]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_service_law(self, kind):

@@ -153,7 +153,7 @@ class TestSampling:
         # n draws from a BlockDraws of n, one float from random.Random: one uniform each
         draw = make_sampler(make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None))
         gen, twin = np.random.default_rng(6), np.random.default_rng(6)
-        block = draw(BlockDraws(gen, 7))
+        block = draw(BlockDraws([gen], [7]))
         twin.random(7)
         assert isinstance(block, np.ndarray) and block.shape == (7,)
         assert gen.bit_generator.state == twin.bit_generator.state
@@ -162,6 +162,32 @@ class TestSampling:
         rng_twin.random()
         assert type(one) is float
         assert rng.getstate() == rng_twin.getstate()
+
+    def test_one_generator_adapter_is_its_sized_draw(self):
+        gen, twin = np.random.default_rng(8), np.random.default_rng(8)
+        block = BlockDraws([gen], [1000]).random()
+        assert block.tobytes() == twin.random(1000).tobytes()
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("method", ["random", "standard_exponential"])
+    def test_group_concatenates_each_generators_sized_draw(self, method):
+        sizes = [3, 1000, 1, 64]
+        gens = [np.random.default_rng(40 + i) for i in range(len(sizes))]
+        twins = [np.random.default_rng(40 + i) for i in range(len(sizes))]
+        block = BlockDraws(gens, sizes).draw(method)
+        alone = np.concatenate([getattr(twin, method)(k) for twin, k in zip(twins, sizes)])
+        assert block.tobytes() == alone.tobytes()
+        # a later call with other sizes carries on each generator's stream
+        again = BlockDraws(gens, sizes).draw(method, [5, 2, 0, 7])
+        alone = np.concatenate([getattr(twin, method)(k) for twin, k in zip(twins, [5, 2, 0, 7])])
+        assert again.tobytes() == alone.tobytes()
+
+    def test_size_zero_makes_no_call(self):
+        gens = [np.random.default_rng(i) for i in range(3)]
+        idle = gens[1].bit_generator.state
+        block = BlockDraws(gens, [4, 0, 2]).random()
+        assert block.shape == (6,)
+        assert gens[1].bit_generator.state == idle
 
     def test_exponential_draw_is_expovariate(self):
         # rng.expovariate(1.0) is the old -log(1 - rng.random()), double for double
