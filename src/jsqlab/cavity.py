@@ -199,28 +199,29 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     level is kept per lane as it climbs, every step; the longest excursion
     and the sum of squared lengths as its excursions end.
     """
+    if not time_cap > 0.0:  # a NaN cap would never trip the runaway check
+        raise ConfigError(f"time_cap must be positive, got {time_cap}")
     top = env.k_max + 1  # the shared row of every level above k_max
     mean_gap = _mean_gaps(env, alpha, D)
     draw = make_sampler(service_spec)
     lanes = BlockDraws([np.random.Generator(np.random.PCG64(r.getrandbits(64))) for r in rngs],
                        [min(n, LANES) for n in ns])
-    bounds = np.cumsum([0, *lanes.sizes])  # shard i's lanes in flight are bounds[i]..bounds[i + 1] - 1
-    cols = bounds.tolist()  # shard i's columns of occ, its units, are cols[i]..cols[i + 1] - 1
+    cols = np.cumsum([0, *lanes.sizes]).tolist()  # shard i's columns of occ, its units, are cols[i]..cols[i + 1] - 1
     left = np.array(ns) - lanes.sizes  # excursions not yet started, per shard
-    m = width = sum(lanes.sizes)  # lanes in flight; occ's columns
+    width = cols[-1]  # occ's columns
     z0 = start or 1  # level at which each excursion starts
-    slot = np.arange(m)  # each lane's column in occ
-    z = np.full(m, z0)
-    occ = np.zeros((min(z0 + 16, top) + 1, m))  # occ[level, slot]: the lane's time at level
-    t = np.zeros(m) if start else lanes.draw("standard_exponential") * mean_gap[0]
+    slot = np.arange(width)  # each lane in flight's column in occ, in column order through every compaction
+    z = np.full(width, z0)
+    occ = np.zeros((min(z0 + 16, top) + 1, width))  # occ[level, slot]: the lane's time at level
+    t = np.zeros(width) if start else lanes.draw("standard_exponential") * mean_gap[0]
     occ[0] = t
-    s_rem = np.full(m, s) if s else draw(lanes)
+    s_rem = np.full(width, s) if s else draw(lanes)
     flat = occ.reshape(-1)  # occ[level, slot] is flat[level * width + slot]
-    longest, t2 = np.zeros(m), np.zeros(m)  # per slot, over its ended excursions
+    longest, t2 = np.zeros(width), np.zeros(width)  # per slot, over its ended excursions
     deepest = z.copy()  # per slot, over its excursions
 
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
-        while m:
+        while z.size:
             level = np.minimum(z, top)
             gap = lanes.draw("standard_exponential") * mean_gap[level]
             arrive = gap < s_rem
@@ -239,12 +240,12 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
             ended = (z == 0).nonzero()[0]
             if not ended.size:
                 continue
-            at = np.searchsorted(ended, bounds)  # shard i's ended lanes are ended[at[i]:at[i + 1]]
+            col, td = slot[ended], t[ended]
+            at = np.searchsorted(col, cols)  # shard i's ended lanes are ended[at[i]:at[i + 1]]
             count = np.diff(at)
             restarts = np.minimum(count, left)  # a shard's first ended lanes take its next excursions
             left -= restarts
             again = np.arange(ended.size) < np.repeat(at[:-1] + restarts, count)
-            col, td = slot[ended], t[ended]
             longest[col] = np.maximum(longest[col], td)
             t2[col] += td * td
             restarted = ended[again]
@@ -255,12 +256,10 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
                 if s:
                     s_rem[restarted] = s
             if restarted.size < ended.size:  # the other lanes of a shard whose pool is empty stop
-                keep = np.ones(m, dtype=bool)
+                keep = np.ones(z.size, dtype=bool)
                 keep[ended[~again]] = False
                 z, t, s_rem, slot = z[keep], t[keep], s_rem[keep], slot[keep]
-                m = len(z)
                 lanes.sizes = (lanes.sizes - count + restarts).tolist()
-                bounds = np.cumsum([0, *lanes.sizes])
     for j in range(len(occ) - 2, -1, -1):  # row j becomes each lane's time at >= j, row 0 all of its time
         occ[j] += occ[j + 1]
     rows = min(len(occ), top)  # the shared row counts only at the levels below it
@@ -487,8 +486,8 @@ def measure_return_time(
     """
     _check_alpha_d(alpha, D)
     check_int("k", k, 1)
-    if not s >= 0.0:
-        raise ConfigError(f"residual s must be >= 0, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise ConfigError(f"residual s must be finite and >= 0, got {s}")
     check_int("n_reps", n_reps, 2)
     (stats,) = _excursions(env, service_spec, alpha, D, [n_reps], [rng], time_cap, start=k, s=s)
     mean = stats.total_time / n_reps

@@ -110,26 +110,15 @@ class PairDependence:
     n_batches: int
 
 
-def _t_half(values: np.ndarray) -> float:
-    """Student-t 95% half-width of the mean of ``values``."""
-    n = len(values)
-    s = float(np.std(values, ddof=1))
-    return t95(n - 1) * s / math.sqrt(n)
-
-
-def _level_means(samples) -> tuple[list, list]:
-    """Level 0 (1 ± 0), then one level per sample row: mean and t half-width.
+def _batch_means(rows: np.ndarray) -> tuple[list, list]:
+    """Each row's mean over its n batches, and the Student-t 95% half-width of that mean.
 
     The means need no clip: every row is summed in the same order, so rows
     that are ordered value by value keep their order in the mean.
     """
-    p = [1.0]
-    ci = [0.0]
-    for vals in samples:
-        vals = np.asarray(vals)
-        p.append(float(np.mean(vals)))
-        ci.append(_t_half(vals))
-    return p, ci
+    n = rows.shape[1]
+    half = t95(n - 1) * rows.std(axis=1, ddof=1) / math.sqrt(n)
+    return rows.mean(axis=1).tolist(), half.tolist()
 
 
 def check_pair_level(config: NetworkConfig, k) -> None:
@@ -257,18 +246,18 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
     runtime_s = _time.perf_counter() - wall0
 
     levels = np.asarray(level_batches[1:]) / (batch_dur * N)  # row j-1: level j per batch
-    p, ci = _level_means(levels)
+    p, ci = _batch_means(levels)
     # sum over levels 1..k_max of the level occupancy is min(Z, k_max) per queue
-    jobs_vals = levels.sum(axis=0)
+    (jobs_mean,), (jobs_ci,) = _batch_means(levels.sum(axis=0)[None])
     return NetworkRun(
         config=config,
-        tail=TailEstimate(p=p, ci=ci),
+        tail=TailEstimate(p=[1.0, *p], ci=[0.0, *ci]),
         arrivals=arrivals,
         departures=departures,
         lengths_end=lengths,
         c_end=c_cur,
-        jobs_mean=float(np.mean(jobs_vals)),
-        jobs_ci=_t_half(jobs_vals),
+        jobs_mean=jobs_mean,
+        jobs_ci=jobs_ci,
         runtime_s=runtime_s,
         pair_level=pair_level,
         pair_batches=pair_batches,
@@ -292,8 +281,9 @@ def pair_dependence(runs: list) -> PairDependence:
     levels = {r.pair_level for r in runs}
     if len(levels) != 1 or None in levels:
         raise ConfigError(f"runs must all track one pair level, got levels {sorted(levels, key=str)}")
-    covs = np.asarray([cov for r in runs for cov in r.pair_batches])
-    return PairDependence(level=levels.pop(), cov=float(np.mean(covs)), ci=_t_half(covs), n_batches=len(covs))
+    covs = np.asarray([[cov for r in runs for cov in r.pair_batches]])
+    (cov,), (ci,) = _batch_means(covs)
+    return PairDependence(level=levels.pop(), cov=cov, ci=ci, n_batches=covs.shape[1])
 
 
 def conservation_audit(run: NetworkRun) -> None:
@@ -333,5 +323,5 @@ def merge_estimates(runs: list) -> TailEstimate:
         raise ConfigError("no replications to merge")
     if len(runs) == 1:
         return runs[0].tail
-    p, ci = _level_means(zip(*(r.tail.p[1:] for r in runs)))
-    return TailEstimate(p=p, ci=ci)
+    p, ci = _batch_means(np.asarray(list(zip(*(r.tail.p[1:] for r in runs)))))
+    return TailEstimate(p=[1.0, *p], ci=[0.0, *ci])

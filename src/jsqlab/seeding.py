@@ -23,8 +23,8 @@ def check_seed(seed: int) -> int:
 
 
 def derive_seed(base_seed: int, *key: int) -> int:
-    """Stable 64-bit child seed for (base_seed, key)."""
-    ss = SeedSequence(entropy=check_seed(base_seed), spawn_key=tuple(int(k) for k in key))
+    """Stable 64-bit child seed for (base_seed, key); each key is an integer >= 0."""
+    ss = SeedSequence(entropy=check_seed(base_seed), spawn_key=tuple(check_int("seed key", k, 0) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

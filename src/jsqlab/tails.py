@@ -14,7 +14,6 @@ standard error of a mean of n batch or replication means on the network.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,11 +45,11 @@ def _t_coverage(t: float, df: int) -> float:
     return s * total
 
 
-@functools.cache  # a run asks for a few df values, once per level and batch
 def t95(df: int) -> float:
     """Student-t 0.975 quantile for integer df >= 1, where the two-sided coverage reaches 0.95.
 
-    The bracket [0, 16] holds the largest of them, t95(1) = 12.706...
+    The bracket [0, 16] holds the largest of them, t95(1) = 12.706... A
+    network reduction asks for it once, for all its rows together.
     """
     return bisect(lambda t: _t_coverage(t, df) < 0.95, 0.0, 16.0)
 

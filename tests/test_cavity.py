@@ -164,6 +164,27 @@ class TestSimulateCycles:
         with pytest.raises(CycleRunawayError, match="time cap 0.0001"):
             simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, 50, random.Random(5), time_cap=1e-4)
 
+    @pytest.mark.parametrize("time_cap", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("entry", ["cycles", "group", "sharded", "drain"])
+    def test_time_cap_rejected_at_every_entry(self, entry, time_cap):
+        # a NaN cap would switch the runaway guard off: this run returns a cycle of length 159 under it,
+        # and raises CycleRunawayError at cap 3.0
+        env = TailVector.geometric(0.7, 16)
+        run = {
+            "cycles": lambda: simulate_cycles(env, LOMAX, 0.7, 2, 5000, random.Random(5000), time_cap=time_cap),
+            "group": lambda: simulate_cycles(env, LOMAX, 0.7, 2, [5000], [random.Random(5000)], time_cap=time_cap),
+            "sharded": lambda: simulate_cycles_sharded(env, LOMAX, 0.7, 2, 5000, 1, time_cap=time_cap),
+            "drain": lambda: measure_return_time(env, LOMAX, 0.7, 2, 3, 0.5, 10, random.Random(1), time_cap=time_cap),
+        }[entry]
+        with pytest.raises(ConfigError, match=f"^time_cap must be positive, got {time_cap}$"):
+            run()
+
+    @pytest.mark.parametrize("key", [1.5, -1, True])
+    def test_seed_key_is_an_integer(self, key):
+        # a float key used to run silently as its integer part
+        with pytest.raises(ConfigError, match="^seed key must be an integer >= 0"):
+            simulate_cycles_sharded(TailVector.geometric(0.5, 8), EXP, 0.5, 2, 100, 13, seed_key=(key,))
+
 
 class TestLaneKernel:
     @pytest.mark.parametrize("n, seed", [(200_000, 31), (LANES // 3, 32)])
@@ -618,6 +639,8 @@ class TestReturnTime:
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, -0.5, 10, random.Random(1))
         with pytest.raises(ConfigError):
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, math.nan, 10, random.Random(1))
+        with pytest.raises(ConfigError, match="^residual s must be finite"):  # not a time-cap runaway
+            measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, math.inf, 10, random.Random(1))
         with pytest.raises(ConfigError):
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, 0.5, 1, random.Random(1))
 

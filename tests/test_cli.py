@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism, workers."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -512,3 +513,57 @@ class TestFit:
         path = tmp_path / "nope.csv"
         assert main(["fit", str(path), "--model", "exponential"]) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+
+# A copy of the smoke command lines in bench/workloads.py, spelt out so that
+# tier-1 does not import the benchmark: (argv without seed and output, suffixes).
+BENCH_SMOKE_ARGV = {
+    "network_n500": (
+        ["simulate", "--n-queues", "500", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential",
+         "--warmup", "0.2", "--k-max", "64", "--batches", "20", "--replications", "1", "--pair-level", "1",
+         "--horizon", "100", "--workers", "1"],
+        (".csv", ".json", ".pair.csv"),
+    ),
+    "cavity_exp": (
+        ["cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential", "--k-max", "64",
+         "--tol", "1e-12", "--noise-rel", "0.05", "--damping", "1.0", "--shards", "16",
+         "--cycles", "10000", "--max-iter", "5", "--workers", "1"],
+        (".csv", ".json"),
+    ),
+    "cavity_lomax14_w2": (
+        ["cavity", "--d-choices", "2", "--alpha", "0.7", "--service", "lomax", "--beta", "1.4", "--k-max", "128",
+         "--tol", "1e-12", "--noise-rel", "0.05", "--damping", "0.3", "--shards", "16",
+         "--cycles", "4000", "--max-iter", "3", "--workers", "2"],
+        (".csv", ".json"),
+    ),
+}
+
+
+@pytest.mark.parametrize("workload, seed, digest", [
+    ("network_n500", 1,
+     "f81ba1a227bc84ad495788b01415d0b27fab4223c00ab4a99c75b322ffd8bfb3"),
+    ("network_n500", 7,
+     "842599e60f9c70c12f16b463bc08e820b0c9e3843a859aa220aa36fc2a497238"),
+    ("cavity_exp", 1,
+     "752ef8a2e998b05ad1ef10a13aca76294ee326fae318a6fbf08ccdd1f288c9cf"),
+    ("cavity_exp", 7,
+     "6cb4d02908c93f94c3c248b1b849f321600cbb029a8d0258501f10735e340373"),
+    ("cavity_lomax14_w2", 1,
+     "6d68d43e3e4cb6ab1cf415585133f4a3d185803dda64636438499a4b8ed50ebe"),
+    ("cavity_lomax14_w2", 7,
+     "8fa9f51dd92cfc83303d41f17df4603f3a30d619e23272f960f3dc158cdbbb8b"),
+])
+def test_benchmark_argv_digest(tmp_path, workload, seed, digest):
+    # pins every byte the benchmark's command lines write, but the simulate sidecar's wall clock
+    argv, suffixes = BENCH_SMOKE_ARGV[workload]
+    stem = tmp_path / "run"
+    assert main([*argv, "--seed", str(seed), "--out", str(stem)]) == EXIT_OK
+    h = hashlib.sha256()
+    for suffix in suffixes:
+        data = (tmp_path / ("run" + suffix)).read_bytes()
+        if suffix == ".json" and workload == "network_n500":
+            doc = json.loads(data)
+            del doc["runtime"]
+            data = json.dumps(doc, sort_keys=True).encode()
+        h.update(data)
+    assert h.hexdigest() == digest

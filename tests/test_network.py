@@ -405,10 +405,10 @@ class TestIntervals:
 
     def test_two_sample_half_width(self):
         a, b = 0.3, 0.7
-        p, ci = network._level_means([[a, b]])
+        p, ci = network._batch_means(np.array([[a, b]]))
         s = abs(a - b) / math.sqrt(2.0)
-        assert p == [1.0, pytest.approx(0.5, rel=1e-15)]
-        assert ci == [0.0, pytest.approx(t95(1) * s / math.sqrt(2.0), rel=1e-12)]
+        assert p == [pytest.approx(0.5, rel=1e-15)]
+        assert ci == [pytest.approx(t95(1) * s / math.sqrt(2.0), rel=1e-12)]
 
 
 class TestReplications:
