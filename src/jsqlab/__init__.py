@@ -34,7 +34,7 @@ from .cavity import (
     simulate_cycles_sharded,
     tail_from_cycles,
 )
-from .errors import AuditFailure, ConfigError, CycleRunawayError, InsufficientDataError
+from .errors import AuditFailure, ConfigError, InsufficientDataError
 from .fitting import TailFit, fit_tail
 from .network import (
     NetworkConfig,

@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CycleRunawayError, check_int
+from .errors import ConfigError, check_int
 from .seeding import check_seed, derive_stream
 from .service_dist import BlockDraws, ServiceDistributionSpec, make_sampler
 from .tails import Z95, TailEstimate, TailVector
 
-DEFAULT_TIME_CAP = 1e6
 DEFAULT_SHARDS = 16
 LANES = 1024  # excursions in flight per kernel call
 
@@ -96,7 +95,7 @@ class CycleStats:
     t2: float = 0.0  # sum of squared cycle lengths
     nu_max: float = 0.0  # longest observed cycle
     max_level: int = 0  # deepest level visited in any cycle
-    n_aborted: int = 0  # always 0, since a cycle past the time cap raises; bench/spans.py reads it
+    n_aborted: int = 0  # always 0, since every cycle runs to its end; bench/spans.py reads it
     n_units: int = 0  # lanes whose cycles v, v2 and vt sum, each lane one unit
     v: np.ndarray = None  # summed occupation time with >= k jobs
     v2: np.ndarray = None  # sum of squared per-unit occupations
@@ -132,15 +131,13 @@ def simulate_cycles(
     D: int,
     n_cycles,
     rng,
-    time_cap: float = DEFAULT_TIME_CAP,
 ) -> CycleStats | ShardStats:
     """Simulate n_cycles excursions from empty back to empty.
 
     One cycle is the idle wait for the first admitted arrival plus the busy
     period it starts. Service is FIFO at rate 1 with fresh draws from the
-    service law; only the job in service carries a residual. A cycle still
-    running past time_cap raises CycleRunawayError, so every cycle in the
-    returned stats ran to its end.
+    service law; only the job in service carries a residual. Every cycle in
+    the returned stats ran to its end.
 
     n_cycles and rng may instead be equal-length lists, one count and one
     stream per shard of a group. The shards then run in one lockstep loop,
@@ -150,12 +147,12 @@ def simulate_cycles(
     _check_alpha_d(alpha, D)
     if not isinstance(n_cycles, (list, tuple)):
         check_int("n_cycles", n_cycles, 1)
-        return _excursions(env, service_spec, alpha, D, [n_cycles], [rng], time_cap)[0]
+        return _excursions(env, service_spec, alpha, D, [n_cycles], [rng])[0]
     if not n_cycles or len(n_cycles) != len(rng):
         raise ConfigError(f"a group needs one stream per shard, got {len(n_cycles)} counts, {len(rng)} streams")
     for n in n_cycles:
         check_int("n_cycles", n, 1)
-    return ShardStats(_excursions(env, service_spec, alpha, D, n_cycles, rng, time_cap))
+    return ShardStats(_excursions(env, service_spec, alpha, D, n_cycles, rng))
 
 
 @functools.lru_cache(maxsize=4)
@@ -171,7 +168,7 @@ def _mean_gaps(env: TailVector, alpha: float, D: int) -> np.ndarray:
     return gaps
 
 
-def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0) -> list:
+def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
     """The excursion kernel behind simulate_cycles and measure_return_time: one CycleStats per shard.
 
     start = 0 runs regeneration cycles: the idle wait, then the busy period
@@ -182,13 +179,17 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     Shard i runs exactly ns[i] excursions, up to LANES at a time, from its
     own pool: a lane whose excursion ends takes the shard's next one while
     any is left, and every excursion started runs to its end, so the long
-    ones are never cut off. Once any lane's time passes time_cap, the call
-    raises CycleRunawayError. The lanes of every shard run in lockstep in
-    one set of arrays, one event per lane per numpy step, grouped by shard
-    in shard order through every compaction. Shard i draws everything from
-    one PCG64 stream seeded from rngs[i] (its derived stream), so its
-    CycleStats do not depend on the group; they depend on LANES as on the
-    shard count.
+    ones are never cut off. The lanes of every shard run in lockstep in one
+    set of arrays, one event per lane per numpy step, grouped by shard in
+    shard order through every compaction. Shard i draws everything from one
+    PCG64 stream seeded from rngs[i] (its derived stream), so its CycleStats
+    do not depend on the group; they depend on LANES as on the shard count.
+
+    No time cap guards the loop, and none is needed. For D >= 2 the admitted
+    rate is 0 above k_max, so the queue never passes k_max + 1: a long
+    service adds at most k_max + 1 arrivals, and an excursion's time is
+    heavy-tailed while its event count is not. For D = 1, alpha < 1 makes
+    every excursion end.
 
     Each lane is one unit of the estimator. Its column of occ adds up its
     time per level over every excursion it runs, idle waits in row 0, with
@@ -199,8 +200,6 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
     level is kept per lane as it climbs, every step; the longest excursion
     and the sum of squared lengths as its excursions end.
     """
-    if not time_cap > 0.0:  # a NaN cap would never trip the runaway check
-        raise ConfigError(f"time_cap must be positive, got {time_cap}")
     top = env.k_max + 1  # the shared row of every level above k_max
     mean_gap = _mean_gaps(env, alpha, D)
     draw = make_sampler(service_spec)
@@ -228,8 +227,6 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, time_cap, start=0, s=0.0)
             dt = np.fmin(gap, s_rem)  # the earlier event; fmin passes over a nan gap (no arrival)
             flat[level * width + slot] += dt
             t += dt
-            if t.max() > time_cap:
-                raise CycleRunawayError(f"an excursion exceeded the time cap {time_cap}; estimates would be biased")
             z += np.where(arrive, 1, -1)
             s_rem = np.where(arrive, s_rem - dt, draw(lanes))  # after a departure, the next job's service
             deepest[slot] = np.maximum(deepest[slot], z)
@@ -289,7 +286,6 @@ def simulate_cycles_sharded(
     *,
     shards: int = DEFAULT_SHARDS,
     seed_key: tuple = (),
-    time_cap: float = DEFAULT_TIME_CAP,
     map_fn=map,
     workers: int = 1,
 ) -> CycleStats:
@@ -309,7 +305,7 @@ def simulate_cycles_sharded(
     counts = [n_cycles // shards + (i < n_cycles % shards) for i in range(shards)]
     streams = [derive_stream(base_seed, *seed_key, i) for i in range(shards)]
     cuts = [shards * j // groups for j in range(groups + 1)]
-    jobs = [(env, service_spec, alpha, D, counts[a:b], streams[a:b], time_cap) for a, b in zip(cuts, cuts[1:])]
+    jobs = [(env, service_spec, alpha, D, counts[a:b], streams[a:b]) for a, b in zip(cuts, cuts[1:])]
     merged = CycleStats(k_max=env.k_max)
     for group in map_fn(_run_group, jobs):
         for shard_stats in group:
@@ -332,7 +328,7 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
     unit's time at >= k is a reverse cumulative sum of nonnegative times,
     and every rounded sum over units and the division by one total keep that
     order, so p is nonincreasing as computed. Every cycle in stats ran to its
-    end: the kernel raises at the time cap rather than return a capped one.
+    end: see _excursions for why each one ends.
     """
     if stats.n_units < 2:  # a unit holds at least one completed cycle
         raise ConfigError(f"need completed cycles from at least 2 lanes, got {stats.n_units}")
@@ -363,7 +359,6 @@ class FixedPointControls:
     # log fluctuation is about sqrt(2)/1.96 of its relative CI, so a looser
     # threshold would put the noise floor above tol and stall convergence.
     noise_rel: float = 0.05
-    time_cap: float = DEFAULT_TIME_CAP
     shards: int = DEFAULT_SHARDS
 
     def __post_init__(self):
@@ -376,8 +371,6 @@ class FixedPointControls:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not (math.isfinite(self.noise_rel) and self.noise_rel >= 0.0):
             raise ConfigError(f"noise_rel must be finite and >= 0, got {self.noise_rel}")
-        if not self.time_cap > 0.0:
-            raise ConfigError(f"time_cap must be positive, got {self.time_cap}")
         check_int("shards", self.shards, 1)
         check_seed(self.seed)
 
@@ -442,7 +435,6 @@ def fixed_point(
             controls.seed,
             shards=controls.shards,
             seed_key=(it,),
-            time_cap=controls.time_cap,
             map_fn=map_fn,
             workers=workers,
         )
@@ -475,21 +467,19 @@ def measure_return_time(
     s: float,
     n_reps: int,
     rng,
-    time_cap: float = DEFAULT_TIME_CAP,
 ) -> tuple[float, float]:
     """Mean time (with CI half-width) to drain from level k with residual s.
 
     s = 0 means the residual of the job entering service is unknown and a
     fresh service time is drawn, matching the just-after-departure convention.
     Diagnostic companion to the linear return-time bound 2*(k + s + const).
-    A drain still running past time_cap raises CycleRunawayError.
     """
     _check_alpha_d(alpha, D)
     check_int("k", k, 1)
     if not 0.0 <= s < math.inf:
         raise ConfigError(f"residual s must be finite and >= 0, got {s}")
     check_int("n_reps", n_reps, 2)
-    (stats,) = _excursions(env, service_spec, alpha, D, [n_reps], [rng], time_cap, start=k, s=s)
+    (stats,) = _excursions(env, service_spec, alpha, D, [n_reps], [rng], start=k, s=s)
     mean = stats.total_time / n_reps
     var = max(stats.t2 - n_reps * mean * mean, 0.0) / (n_reps - 1)
     half = Z95 * math.sqrt(var / n_reps)

@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid parameters or experiment configuration (CLI exit code 2)."""
 
 
-class CycleRunawayError(RuntimeError):
-    """A regeneration cycle exceeded the time cap; estimates would be biased."""
-
-
 class AuditFailure(RuntimeError):
     """A conservation audit found an internal bookkeeping mismatch (simulator bug)."""
 

@@ -264,6 +264,13 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
     )
 
 
+def _check_one_config(runs: list) -> None:
+    """ConfigError unless the runs share one config up to the seed, as replications of one run do."""
+    configs = {replace(r.config, seed=0) for r in runs}
+    if len(configs) > 1:
+        raise ConfigError(f"runs must share one config but the seed, got {len(configs)} configs")
+
+
 def pair_dependence(runs: list) -> PairDependence:
     """Time-averaged Cov(1{Z_1 >= k}, 1{Z_2 >= k}) for two fixed queues.
 
@@ -278,6 +285,7 @@ def pair_dependence(runs: list) -> PairDependence:
     """
     if not runs:
         raise ConfigError("no runs to pool")
+    _check_one_config(runs)
     levels = {r.pair_level for r in runs}
     if len(levels) != 1 or None in levels:
         raise ConfigError(f"runs must all track one pair level, got levels {sorted(levels, key=str)}")
@@ -318,9 +326,10 @@ def run_replication(config: NetworkConfig, replication: int, pair_level: int | N
 
 
 def merge_estimates(runs: list) -> TailEstimate:
-    """Average replication-level estimates; intervals from replication spread."""
+    """Average the estimates of replications of one config; intervals from replication spread."""
     if not runs:
         raise ConfigError("no replications to merge")
+    _check_one_config(runs)
     if len(runs) == 1:
         return runs[0].tail
     p, ci = _batch_means(np.asarray(list(zip(*(r.tail.p[1:] for r in runs)))))

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from jsqlab import (
     KINDS,
     ConfigError,
-    CycleRunawayError,
     CycleStats,
     FixedPointControls,
     TailVector,
@@ -30,7 +29,7 @@ from jsqlab import (
     vdk_tail,
 )
 
-from jsqlab.cavity import DEFAULT_TIME_CAP, LANES, ShardStats, _excursions, _mean_gaps
+from jsqlab.cavity import LANES, ShardStats, _excursions, _mean_gaps
 from jsqlab.service_dist import BlockDraws, make_sampler
 from jsqlab.tails import Z95
 from oracles import FixedU, birth_death_tail, mc_arrival_oracle, reference_cycles
@@ -159,26 +158,6 @@ class TestSimulateCycles:
         with pytest.raises(ConfigError, match="k_max"):
             CycleStats(k_max=1).merge(CycleStats(k_max=2))
 
-    def test_runaway_guard_counts_and_fails(self):
-        # a capped cycle would bias the ratio estimator, so the kernel raises, naming the cap
-        with pytest.raises(CycleRunawayError, match="time cap 0.0001"):
-            simulate_cycles(EMPTY_ABOVE_0, EXP, 0.5, 2, 50, random.Random(5), time_cap=1e-4)
-
-    @pytest.mark.parametrize("time_cap", [0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("entry", ["cycles", "group", "sharded", "drain"])
-    def test_time_cap_rejected_at_every_entry(self, entry, time_cap):
-        # a NaN cap would switch the runaway guard off: this run returns a cycle of length 159 under it,
-        # and raises CycleRunawayError at cap 3.0
-        env = TailVector.geometric(0.7, 16)
-        run = {
-            "cycles": lambda: simulate_cycles(env, LOMAX, 0.7, 2, 5000, random.Random(5000), time_cap=time_cap),
-            "group": lambda: simulate_cycles(env, LOMAX, 0.7, 2, [5000], [random.Random(5000)], time_cap=time_cap),
-            "sharded": lambda: simulate_cycles_sharded(env, LOMAX, 0.7, 2, 5000, 1, time_cap=time_cap),
-            "drain": lambda: measure_return_time(env, LOMAX, 0.7, 2, 3, 0.5, 10, random.Random(1), time_cap=time_cap),
-        }[entry]
-        with pytest.raises(ConfigError, match=f"^time_cap must be positive, got {time_cap}$"):
-            run()
-
     @pytest.mark.parametrize("key", [1.5, -1, True])
     def test_seed_key_is_an_integer(self, key):
         # a float key used to run silently as its integer part
@@ -211,9 +190,6 @@ class TestLaneKernel:
         stats = simulate_cycles(env, spec, 0.7, 2, n, random.Random(n))
         assert stats.n_cycles == n
         assert stats.n_units == min(n, LANES)  # each lane one unit of the estimator
-        if n == 5000:  # some cycle runs past a cap of 3.0
-            with pytest.raises(CycleRunawayError, match="time cap 3.0"):
-                simulate_cycles(env, spec, 0.7, 2, n, random.Random(n), time_cap=3.0)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_lane_draws_match_scalar_draws(self, kind):
@@ -328,27 +304,15 @@ class TestShardGroups:
     def streams(shards):
         return [random.Random(700 + i) for i in range(shards)]
 
-    @pytest.mark.parametrize("time_cap", [DEFAULT_TIME_CAP, 3.0])  # some shards run a cycle past 3.0
     @pytest.mark.parametrize("shards, groups", GROUPINGS)
-    def test_cycles(self, shards, groups, time_cap):
-        # a group raises exactly when one of its shards raises alone, and otherwise returns their stats
+    def test_cycles(self, shards, groups):
+        # a group returns its shards' stats, each as the shard returns it alone
         env, counts = TailVector.geometric(0.7, 16), self.counts(shards)
-
-        def run(ns, rs):
-            try:
-                return simulate_cycles(env, LOMAX, 0.7, 2, ns, rs, time_cap=time_cap)
-            except CycleRunawayError:
-                return None
-
-        alone = [run(n, r) for n, r in zip(counts, self.streams(shards))]
-        assert (None in alone) == (time_cap == 3.0)
+        alone = [simulate_cycles(env, LOMAX, 0.7, 2, n, r) for n, r in zip(counts, self.streams(shards))]
         for ns, rs, solo in zip(grouped(counts, groups), grouped(self.streams(shards), groups), grouped(alone, groups)):
-            group = run(ns, rs)
-            if None in solo:
-                assert group is None
-            else:
-                assert isinstance(group, ShardStats) and len(group) == len(ns)
-                assert [stats_bytes(x) for x in group] == [stats_bytes(x) for x in solo]
+            group = simulate_cycles(env, LOMAX, 0.7, 2, ns, rs)
+            assert isinstance(group, ShardStats) and len(group) == len(ns)
+            assert [stats_bytes(x) for x in group] == [stats_bytes(x) for x in solo]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_law(self, kind):
@@ -364,11 +328,11 @@ class TestShardGroups:
     def test_drains(self, shards, groups, start, s):
         # measure_return_time's excursions: drains from level start with residual s
         env, counts = TailVector.geometric(0.5, 12), self.counts(shards)
-        alone = [_excursions(env, EXP, 0.5, 2, [n], [r], DEFAULT_TIME_CAP, start=start, s=s)[0]
+        alone = [_excursions(env, EXP, 0.5, 2, [n], [r], start=start, s=s)[0]
                  for n, r in zip(counts, self.streams(shards))]
         together = []
         for ns, rs in zip(grouped(counts, groups), grouped(self.streams(shards), groups)):
-            together += _excursions(env, EXP, 0.5, 2, ns, rs, DEFAULT_TIME_CAP, start=start, s=s)
+            together += _excursions(env, EXP, 0.5, 2, ns, rs, start=start, s=s)
         assert [stats_bytes(x) for x in together] == [stats_bytes(x) for x in alone]
 
     @pytest.mark.parametrize("shards", [1, 3, 16])
@@ -408,9 +372,9 @@ class TestShardGroups:
         # D = 1 climbs past level 8 and into the shared row above k_max = 16
         ("deep", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1),
          "cc0fc35a9e8989c5573201d93aa00e6bad0c15e13f0cfa3ba05bf2bca4641b3b"),
-        # the deep case under a cap just above its longest excursion (445.6): the cap changes no byte
-        ("capped", dict(env=TailVector.geometric(0.7, 16), spec=LOMAX, alpha=0.7, D=1, time_cap=446.0),
-         "cc0fc35a9e8989c5573201d93aa00e6bad0c15e13f0cfa3ba05bf2bca4641b3b"),
+        # D = 2 admits no arrival above k_max = 4: every shard's queue reaches level 5 and stops there
+        ("shallow", dict(env=TailVector.geometric(0.7, 4), spec=LOMAX, alpha=0.7, D=2),
+         "b48e5f42590e739c9738ba053a12379d30ba49c2f3a53af479902bae65802c59"),
         ("drain", dict(env=TailVector.geometric(0.5, 12), spec=EXP, alpha=0.5, D=2, start=5, s=2.5),
          "b155cc540f805f36701e273b9353f45de066e207d8519f06ddeed9a7cdac9b14"),
         *((kind, dict(env=TailVector.geometric(0.7, 16), spec=make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None),
@@ -426,11 +390,11 @@ class TestShardGroups:
         # digests taken with lanes as the estimator's units, whose sums reduce once per call
         kw = dict(kwargs)
         args = [kw.pop(name) for name in ("env", "spec", "alpha", "D")]
-        group = _excursions(*args, self.counts(3), self.streams(3), kw.pop("time_cap", DEFAULT_TIME_CAP), **kw)
+        group = _excursions(*args, self.counts(3), self.streams(3), **kw)
         if case == "deep":
             assert max(x.max_level for x in group) > 16 and min(x.max_level for x in group) > 8
-        if case == "capped":
-            assert 445.0 < max(x.nu_max for x in group) < 446.0
+        if case == "shallow":
+            assert [x.max_level for x in group] == [5, 5, 5]
         h = hashlib.sha256()
         for stats in group:
             for value in stats_bytes(stats).values():
@@ -574,12 +538,6 @@ class TestFixedPoint:
         with pytest.raises(ConfigError, match=f"^{name}"):
             FixedPointControls(**{name: value})
 
-    @pytest.mark.parametrize("time_cap", [0.0, -1.0, math.nan])
-    def test_time_cap_rejected(self, time_cap):
-        # a non-positive cap would stop every run at its first step
-        with pytest.raises(ConfigError):
-            FixedPointControls(time_cap=time_cap)
-
     @pytest.mark.parametrize("shards", [0, -2, 2.5, True])
     def test_shards_rejected(self, shards):
         with pytest.raises(ConfigError, match="^shards"):
@@ -628,9 +586,10 @@ class TestReturnTime:
         mean, half = measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, k, 0.5, 400, random.Random(8))
         assert abs(mean - (k - 0.5)) <= 3 * half
 
-    def test_time_cap_raises(self):
-        with pytest.raises(CycleRunawayError):
-            measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 3, 0.5, 10, random.Random(1), time_cap=1e-4)
+    def test_huge_residual_drains_to_its_end(self):
+        # a drain behind a residual of 2e6 runs to its end: the queue never passes k_max + 1
+        mean, _ = measure_return_time(TailVector.geometric(0.5, 8), EXP, 0.5, 2, 1, 2e6, 10, random.Random(1))
+        assert mean >= 2e6
 
     def test_preconditions(self):
         with pytest.raises(ConfigError):
@@ -639,7 +598,7 @@ class TestReturnTime:
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, -0.5, 10, random.Random(1))
         with pytest.raises(ConfigError):
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, math.nan, 10, random.Random(1))
-        with pytest.raises(ConfigError, match="^residual s must be finite"):  # not a time-cap runaway
+        with pytest.raises(ConfigError, match="^residual s must be finite"):  # a drain that would never end
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, math.inf, 10, random.Random(1))
         with pytest.raises(ConfigError):
             measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, 1, 0.5, 1, random.Random(1))

@@ -272,12 +272,15 @@ class TestCavity:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("workers", ["1", "2"])  # at 2 the error crosses the process pool
-    def test_cycle_past_the_time_cap_exits_3_without_outputs(self, tmp_path, capsys, workers):
-        doc = {"mode": "cavity", "D": 2, "alpha": 0.7, "service": {"kind": "lomax", "beta": 1.4},
-               "cycles_per_iter": 20_000, "max_iter": 3, "seed": 1, "time_cap": 5.0}
-        assert run_doc(tmp_path, "cavity", doc, tmp_path / "cav", "--workers", workers) == EXIT_RUNTIME
+    def test_kernel_runtime_error_exits_3_without_outputs(self, tmp_path, capsys, monkeypatch, workers):
+        # forked pool workers inherit the patch: the shard-group runner looks simulate_cycles up per call
+        def fail(*args):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(jsqlab.cavity, "simulate_cycles", fail)
+        assert main(SMALL_CAV_ARGS + ["--workers", workers, "--out", str(tmp_path / "cav")]) == EXIT_RUNTIME
         assert not list(tmp_path.glob("cav*"))
-        assert "time cap 5.0" in capsys.readouterr().err
+        assert "kernel failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--noise-rel", "-0.1"], ["--noise-rel", "nan"], ["--shards", "0"]])
     def test_bad_controls_exit_before_any_work(self, tmp_path, flag):
@@ -545,13 +548,13 @@ BENCH_SMOKE_ARGV = {
     ("network_n500", 7,
      "842599e60f9c70c12f16b463bc08e820b0c9e3843a859aa220aa36fc2a497238"),
     ("cavity_exp", 1,
-     "752ef8a2e998b05ad1ef10a13aca76294ee326fae318a6fbf08ccdd1f288c9cf"),
+     "52d660cc3670298224db7bdbec79b48cb29d879c45b759f950038f928aacc1fd"),
     ("cavity_exp", 7,
-     "6cb4d02908c93f94c3c248b1b849f321600cbb029a8d0258501f10735e340373"),
+     "0351a7b23f6d076be2728c3a1f0bf49d4010fa748cf4653f66f6491550375d23"),
     ("cavity_lomax14_w2", 1,
-     "6d68d43e3e4cb6ab1cf415585133f4a3d185803dda64636438499a4b8ed50ebe"),
+     "641e9b2639412c09f70209306ab741fee32f7ceed9fefe2eaead9baa06629309"),
     ("cavity_lomax14_w2", 7,
-     "8fa9f51dd92cfc83303d41f17df4603f3a30d619e23272f960f3dc158cdbbb8b"),
+     "c3f768be7d229f7410a2e5a150feb006b0781bf295192feea13ab466ab544253"),
 ])
 def test_benchmark_argv_digest(tmp_path, workload, seed, digest):
     # pins every byte the benchmark's command lines write, but the simulate sidecar's wall clock

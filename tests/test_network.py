@@ -340,6 +340,12 @@ class TestPairDependence:
         with pytest.raises(ConfigError):
             pair_dependence([run_network(cfg, pair_level=1), run_network(cfg, pair_level=2)])
 
+    def test_pooling_needs_one_config(self):
+        # an N = 20 and an N = 40 run used to pool into one covariance over 40 batches
+        runs = [run_network(small_config(N=n, horizon=50.0), pair_level=1) for n in (20, 40)]
+        with pytest.raises(ConfigError, match="^runs must share one config but the seed, got 2 configs$"):
+            pair_dependence(runs)
+
     def test_pools_replications(self):
         cfg = small_config(horizon=150.0)
         runs = [run_replication(cfg, i, pair_level=1) for i in range(3)]
@@ -435,6 +441,12 @@ class TestReplications:
     def test_no_runs_rejected(self):
         with pytest.raises(ConfigError, match="no replications"):
             merge_estimates([])
+
+    def test_merge_needs_one_config(self):
+        # zip used to cut a k_max = 8 run's tail to the k_max = 4 run's length
+        runs = [run_replication(small_config(horizon=50.0, k_max=k), 0) for k in (8, 4)]
+        with pytest.raises(ConfigError, match="^runs must share one config but the seed, got 2 configs$"):
+            merge_estimates(runs)
 
     def test_single_run_passthrough(self):
         cfg = small_config(horizon=150.0)
