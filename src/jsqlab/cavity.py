@@ -91,10 +91,8 @@ class CycleStats:
 
     k_max: int
     n_cycles: int = 0
-    total_time: float = 0.0
-    t2: float = 0.0  # sum of squared cycle lengths
     nu_max: float = 0.0  # longest observed cycle
-    max_level: int = 0  # deepest level visited in any cycle
+    max_level: int = 0  # highest level visited in any cycle, k_max + 1 for every level above k_max
     n_aborted: int = 0  # always 0, since every cycle runs to its end; bench/spans.py reads it
     n_units: int = 0  # lanes whose cycles v, v2 and vt sum, each lane one unit
     v: np.ndarray = None  # summed occupation time with >= k jobs
@@ -105,12 +103,14 @@ class CycleStats:
         if self.v is None:
             self.v, self.v2, self.vt = np.zeros((3, self.k_max + 1))
 
+    @property
+    def total_time(self) -> float:
+        return float(self.v[0])
+
     def merge(self, other: "CycleStats") -> "CycleStats":
         if other.k_max != self.k_max:
             raise ConfigError("cannot merge cycle stats with different k_max")
         self.n_cycles += other.n_cycles
-        self.total_time += other.total_time
-        self.t2 += other.t2
         self.nu_max = max(self.nu_max, other.nu_max)
         self.max_level = max(self.max_level, other.max_level)
         self.n_units += other.n_units
@@ -162,7 +162,7 @@ def _mean_gaps(env: TailVector, alpha: float, D: int) -> np.ndarray:
     Built once per environment: the calls of one iteration share it, read-only.
     """
     q = (*env.p, 0.0, 0.0)  # env.value(z) for z = 0..k_max + 2
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a rate below 1/DBL_MAX admits nothing, like 0
         gaps = 1.0 / np.array([_admitted(q[z], q[z + 1], alpha, D) for z in range(len(q) - 1)])
     gaps.flags.writeable = False
     return gaps
@@ -172,9 +172,9 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
     """The excursion kernel behind simulate_cycles and measure_return_time: one CycleStats per shard.
 
     start = 0 runs regeneration cycles: the idle wait, then the busy period
-    its arrival starts. start = k >= 1 runs drains from level k whose job in
-    service has residual s (a fresh draw when s = 0); their time counts from
-    0 and their occupations accumulate like a cycle's.
+    its arrival starts. start = k >= 1 runs drains from level k, one per
+    lane, whose job in service has residual s (a fresh draw when s = 0);
+    their time counts from 0 and their occupations accumulate like a cycle's.
 
     Shard i runs exactly ns[i] excursions, up to LANES at a time, from its
     own pool: a lane whose excursion ends takes the shard's next one while
@@ -196,10 +196,12 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
     every level above k_max in one shared row; the rows reach only as deep
     as any lane has gone. At the end, each shard's columns reduce once to
     per-level sums over its lanes of the time at or above the level, its
-    square and its product with the lane's whole time (row 0). The deepest
-    level is kept per lane as it climbs, every step; the longest excursion
-    and the sum of squared lengths as its excursions end.
+    square and its product with the lane's whole time (row 0), and to the
+    highest row holding any time. Only the longest excursion is kept per
+    lane, as its excursions end.
     """
+    if start and max(ns) > LANES:
+        raise ValueError(f"a drain shard runs at most LANES = {LANES} drains, one per lane, got {max(ns)}")
     top = env.k_max + 1  # the shared row of every level above k_max
     mean_gap = _mean_gaps(env, alpha, D)
     draw = make_sampler(service_spec)
@@ -208,16 +210,14 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
     cols = np.cumsum([0, *lanes.sizes]).tolist()  # shard i's columns of occ, its units, are cols[i]..cols[i + 1] - 1
     left = np.array(ns) - lanes.sizes  # excursions not yet started, per shard
     width = cols[-1]  # occ's columns
-    z0 = start or 1  # level at which each excursion starts
     slot = np.arange(width)  # each lane in flight's column in occ, in column order through every compaction
-    z = np.full(width, z0)
-    occ = np.zeros((min(z0 + 16, top) + 1, width))  # occ[level, slot]: the lane's time at level
+    z = np.full(width, start or 1)
+    occ = np.zeros((min((start or 1) + 16, top) + 1, width))  # occ[level, slot]: the lane's time at level
     t = np.zeros(width) if start else lanes.draw("standard_exponential") * mean_gap[0]
     occ[0] = t
     s_rem = np.full(width, s) if s else draw(lanes)
     flat = occ.reshape(-1)  # occ[level, slot] is flat[level * width + slot]
-    longest, t2 = np.zeros(width), np.zeros(width)  # per slot, over its ended excursions
-    deepest = z.copy()  # per slot, over its excursions
+    longest = np.zeros(width)  # per slot, over its ended excursions
 
     with np.errstate(invalid="ignore"):  # gap 0 * inf is nan: no arrival, the lane departs
         while z.size:
@@ -229,7 +229,6 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
             t += dt
             z += np.where(arrive, 1, -1)
             s_rem = np.where(arrive, s_rem - dt, draw(lanes))  # after a departure, the next job's service
-            deepest[slot] = np.maximum(deepest[slot], z)
             if len(occ) <= top and z.max() >= len(occ):
                 grown = np.zeros((min(2 * len(occ), top + 1), width))
                 grown[: len(occ)] = occ
@@ -244,14 +243,11 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
             left -= restarts
             again = np.arange(ended.size) < np.repeat(at[:-1] + restarts, count)
             longest[col] = np.maximum(longest[col], td)
-            t2[col] += td * td
             restarted = ended[again]
-            if restarted.size:
-                z[restarted] = z0
-                t[restarted] = wait = 0.0 if start else lanes.draw("standard_exponential", restarts) * mean_gap[0]
+            if restarted.size:  # only a cycle restarts: a new idle wait, then level 1
+                z[restarted] = 1
+                t[restarted] = wait = lanes.draw("standard_exponential", restarts) * mean_gap[0]
                 occ[0, slot[restarted]] += wait
-                if s:
-                    s_rem[restarted] = s
             if restarted.size < ended.size:  # the other lanes of a shard whose pool is empty stop
                 keep = np.ones(z.size, dtype=bool)
                 keep[ended[~again]] = False
@@ -263,12 +259,11 @@ def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
     stats = []
     for n, a, e in zip(ns, cols, cols[1:]):
         above = occ[:rows, a:e]
-        st = CycleStats(k_max=env.k_max, n_cycles=n, n_units=e - a, t2=float(t2[a:e].sum()),
-                        nu_max=float(longest[a:e].max()), max_level=int(deepest[a:e].max()))
+        st = CycleStats(k_max=env.k_max, n_cycles=n, n_units=e - a, nu_max=float(longest[a:e].max()),
+                        max_level=int(occ[:, a:e].any(axis=1).nonzero()[0][-1]))
         st.v[:rows] = above.sum(axis=1)
         st.v2[:rows] = np.einsum("ij,ij->i", above, above)
         st.vt[:rows] = np.einsum("ij,j->i", above, above[0])
-        st.total_time = float(st.v[0])
         stats.append(st)
     return stats
 
@@ -332,6 +327,8 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
     """
     if stats.n_units < 2:  # a unit holds at least one completed cycle
         raise ConfigError(f"need completed cycles from at least 2 lanes, got {stats.n_units}")
+    if not math.isfinite(stats.v2[0]):  # the squared idle waits, about 1 / alpha**2, pass DBL_MAX
+        raise ConfigError("alpha is too small: the sum of squared cycle times overflows float64")
     n = stats.n_units
     mean_nu = stats.total_time / n
     three_bound = 3.0 * stats.nu_max / stats.total_time
@@ -473,14 +470,16 @@ def measure_return_time(
     s = 0 means the residual of the job entering service is unknown and a
     fresh service time is drawn, matching the just-after-departure convention.
     Diagnostic companion to the linear return-time bound 2*(k + s + const).
+    Drains run one per lane, up to LANES per kernel call seeded from rng.
     """
     _check_alpha_d(alpha, D)
     check_int("k", k, 1)
     if not 0.0 <= s < math.inf:
         raise ConfigError(f"residual s must be finite and >= 0, got {s}")
     check_int("n_reps", n_reps, 2)
-    (stats,) = _excursions(env, service_spec, alpha, D, [n_reps], [rng], start=k, s=s)
+    stats = CycleStats(k_max=env.k_max)
+    for a in range(0, n_reps, LANES):
+        stats.merge(_excursions(env, service_spec, alpha, D, [min(LANES, n_reps - a)], [rng], start=k, s=s)[0])
     mean = stats.total_time / n_reps
-    var = max(stats.t2 - n_reps * mean * mean, 0.0) / (n_reps - 1)
-    half = Z95 * math.sqrt(var / n_reps)
-    return mean, half
+    var = max(stats.v2[0] - n_reps * mean * mean, 0.0) / (n_reps - 1)
+    return mean, Z95 * math.sqrt(var / n_reps)

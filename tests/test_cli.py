@@ -282,6 +282,19 @@ class TestCavity:
         assert not list(tmp_path.glob("cav*"))
         assert "kernel failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["1e-160", "1e-200", "1e-320"])
+    def test_overflowing_tiny_alpha_exits_2_without_outputs(self, tmp_path, capsys, alpha):
+        # squared idle waits of about 1 / alpha**2 overflow; the interval once read -inf,inf or nan,nan
+        assert main(SMALL_CAV_ARGS + ["--alpha", alpha, "--out", str(tmp_path / "cav")]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("cav*"))
+        assert "alpha is too small" in capsys.readouterr().err
+
+    def test_tiny_alpha_below_the_overflow_runs(self, tmp_path):
+        # a repeated flag's last value wins
+        assert main(SMALL_CAV_ARGS + ["--alpha", "1e-150", "--out", str(tmp_path / "cav")]) == EXIT_OK
+        rows = read_tail_csv(tmp_path / "cav.csv")
+        assert all(math.isfinite(x) for row in rows for x in row) and rows[1][2] > 0.0
+
     @pytest.mark.parametrize("flag", [["--noise-rel", "-0.1"], ["--noise-rel", "nan"], ["--shards", "0"]])
     def test_bad_controls_exit_before_any_work(self, tmp_path, flag):
         out = tmp_path / "sub" / "bad"
