@@ -30,7 +30,6 @@ the grouping, the pool or the worker count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -155,17 +154,11 @@ def simulate_cycles(
     return ShardStats(_excursions(env, service_spec, alpha, D, n_cycles, rng))
 
 
-@functools.lru_cache(maxsize=4)
 def _mean_gaps(env: TailVector, alpha: float, D: int) -> np.ndarray:
-    """1 / alpha_z for z = 0..k_max + 1, the last for every level above k_max; inf where none is admitted.
-
-    Built once per environment: the calls of one iteration share it, read-only.
-    """
+    """1 / alpha_z for z = 0..k_max + 1, the last for every level above k_max; inf where none is admitted."""
     q = (*env.p, 0.0, 0.0)  # env.value(z) for z = 0..k_max + 2
     with np.errstate(divide="ignore", over="ignore"):  # a rate below 1/DBL_MAX admits nothing, like 0
-        gaps = 1.0 / np.array([_admitted(q[z], q[z + 1], alpha, D) for z in range(len(q) - 1)])
-    gaps.flags.writeable = False
-    return gaps
+        return 1.0 / np.array([_admitted(q[z], q[z + 1], alpha, D) for z in range(len(q) - 1)])
 
 
 def _excursions(env, service_spec, alpha, D, ns, rngs, start=0, s=0.0) -> list:
@@ -321,9 +314,9 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
     the rule-of-three visit bound scaled by the worst-case cycle
     contribution: p[k] <= 3 * nu_max / sum nu. The tail needs no clipping: a
     unit's time at >= k is a reverse cumulative sum of nonnegative times,
-    and every rounded sum over units and the division by one total keep that
-    order, so p is nonincreasing as computed. Every cycle in stats ran to its
-    end: see _excursions for why each one ends.
+    and every rounded sum over units and the division by one total keep
+    that order, so p is nonincreasing from p[0] = 1 as computed. Every
+    cycle in stats ran to its end: see _excursions for why each one ends.
     """
     if stats.n_units < 2:  # a unit holds at least one completed cycle
         raise ConfigError(f"need completed cycles from at least 2 lanes, got {stats.n_units}")
@@ -338,7 +331,7 @@ def tail_from_cycles(stats: CycleStats) -> TailEstimate:
     ss = stats.v2[1:] - 2.0 * r * stats.vt[1:] + r * r * stats.v2[0]
     half = Z95 * np.sqrt(np.maximum(ss, 0.0) / (n - 1) / n) / mean_nu
     ci = np.where(v == 0.0, min(1.0, three_bound), half)
-    return TailEstimate(p=[1.0, *np.minimum(r, 1.0)], ci=[0.0, *ci])
+    return TailEstimate(p=[1.0, *r], ci=[0.0, *ci])
 
 
 @dataclass(frozen=True)
@@ -363,7 +356,7 @@ class FixedPointControls:
         check_int("cycles_per_iter", self.cycles_per_iter, 2)
         if not (0.0 < self.damping <= 1.0):
             raise ConfigError(f"damping must lie in (0, 1], got {self.damping}")
-        check_int("max_iter", self.max_iter, 0)
+        check_int("max_iter", self.max_iter, 1)
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if not (math.isfinite(self.noise_rel) and self.noise_rel >= 0.0):
@@ -377,8 +370,8 @@ class FixedPointReport:
     """Outcome of the fixed-point iteration; never raised on non-convergence."""
 
     env: TailVector
-    estimate: TailEstimate | None
-    distances: list  # one per iteration run
+    estimate: TailEstimate  # the last iteration's simulated tail, before damping
+    distances: list  # one per iteration run, at least one
     converged: bool
     max_level: int = 0
 
@@ -420,7 +413,6 @@ def fixed_point(
         raise ConfigError("the fixed point is defined for D >= 2 (D = 1 ignores the environment)")
     env = TailVector.geometric(alpha, controls.k_max)
     distances: list = []
-    estimate = None
     max_level = 0
     for it in range(controls.max_iter):
         stats = simulate_cycles_sharded(
@@ -450,7 +442,7 @@ def fixed_point(
         env=env,
         estimate=estimate,
         distances=distances,
-        converged=bool(distances) and distances[-1] < controls.tol,
+        converged=distances[-1] < controls.tol,
         max_level=max_level,
     )
 

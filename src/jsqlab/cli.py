@@ -179,18 +179,16 @@ def _replication_job(job):
 def cmd_cavity(args) -> int:
     point, controls = _read_run_config(args, "cavity", CavityPoint, FixedPointControls)
 
-    shards = min(controls.shards, controls.cycles_per_iter) if controls.max_iter else 0
-    with _mapper(args.workers, shards) as map_fn:
+    with _mapper(args.workers, min(controls.shards, controls.cycles_per_iter)) as map_fn:
         report = fixed_point(point.service, point.alpha, point.D, controls, map_fn=map_fn, workers=args.workers)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     json_path = _out_path(out, ".json")
-    estimate = report.estimate
     sidecar = {
         "config": echo("cavity", point, controls),
         "p": list(report.env.p),
-        "ci": None if estimate is None else estimate.ci,
+        "ci": report.estimate.ci,
         "distances": report.distances,
         "iterations": len(report.distances),
         "converged": report.converged,
@@ -200,12 +198,9 @@ def cmd_cavity(args) -> int:
     }
     _write_json(json_path, sidecar)
     csv_path = _out_path(out, ".csv")
-    if estimate is not None:
-        write_tail_csv(csv_path, estimate)
-        print(f"cavity: converged={report.converged} after {len(report.distances)} iteration(s); "
-              f"wrote {csv_path}, {json_path}")
-    else:
-        print(f"cavity: no iterations run (max_iter=0); wrote {json_path}")
+    write_tail_csv(csv_path, report.estimate)
+    print(f"cavity: converged={report.converged} after {len(report.distances)} iteration(s); "
+          f"wrote {csv_path}, {json_path}")
     return EXIT_OK
 
 

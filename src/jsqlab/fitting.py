@@ -103,11 +103,8 @@ def fit_tail(
 
     pts = [_transform(model, k, p, hw, d_choices) for k, p, hw in usable]
     sigmas = [s for _, _, s in pts]
-    if all(s == 0.0 for s in sigmas):
-        weights = [1.0] * len(pts)
-    else:
-        floor = min(s for s in sigmas if s > 0.0)
-        weights = [1.0 / max(s, floor) ** 2 for s in sigmas]
+    floor = min((s for s in sigmas if s > 0.0), default=1.0)  # all-zero widths weigh 1 each: an unweighted fit
+    weights = [1.0 / max(s, floor) ** 2 for s in sigmas]
 
     sw = sum(weights)
     xbar = sum(w * x for (x, _, _), w in zip(pts, weights)) / sw

@@ -159,7 +159,12 @@ def run_network(config: NetworkConfig, *, pair_level: int | None = None) -> Netw
     gap_gen, row_gen, svc_gen = (np.random.default_rng(derive_seed(config.seed, 0, role)) for role in range(3))
     rate_in = alpha * N
     draw = make_sampler(config.service)
-    gap = _reader(lambda: (gap_gen.standard_exponential(BLOCK) / rate_in).tolist())
+
+    def gaps():
+        with np.errstate(over="ignore"):  # a rate below 1/DBL_MAX overflows to an inf gap: no arrival, as at 0
+            return (gap_gen.standard_exponential(BLOCK) / rate_in).tolist()
+
+    gap = _reader(gaps)
     sample = _reader(lambda: sample_rows(row_gen, N, D, BLOCK).tolist())
     svc_draws = BlockDraws([svc_gen], [BLOCK])
     service = _reader(lambda: draw(svc_draws).tolist())

@@ -503,12 +503,6 @@ class TestFixedPoint:
         for k in (1, 2, 3):
             assert abs(rep.env.p[k] - vdk_tail(0.5, 2, k)) <= 3 * rep.estimate.ci[k]
 
-    def test_zero_iterations_returns_initial_env(self):
-        rep = fixed_point(EXP, 0.5, 2, FixedPointControls(k_max=8, max_iter=0, seed=1))
-        assert not rep.converged
-        assert rep.estimate is None
-        assert rep.env.p == tuple(0.5**k for k in range(9))
-
     def test_map_leaves_exponential_limit_fixed(self):
         # one application of the cycle map at the exact exponential-service
         # limit values moves no well-estimated level by more than 3 CIs
@@ -649,7 +643,7 @@ INTEGER_ARGS = [
                  id="sharded-workers"),
     pytest.param("k_max", lambda v: FixedPointControls(k_max=v), 1, id="controls-k_max"),
     pytest.param("cycles_per_iter", lambda v: FixedPointControls(cycles_per_iter=v), 2, id="controls-cycles"),
-    pytest.param("max_iter", lambda v: FixedPointControls(max_iter=v), 0, id="controls-max_iter"),
+    pytest.param("max_iter", lambda v: FixedPointControls(max_iter=v), 1, id="controls-max_iter"),
     pytest.param("seed", lambda v: FixedPointControls(seed=v), 0, id="controls-seed"),
     pytest.param("k", lambda v: measure_return_time(EMPTY_ABOVE_0, EXP, 0.5, 2, v, 0.5, 10, random.Random(1)), 1,
                  id="return-k"),

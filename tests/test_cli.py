@@ -75,7 +75,7 @@ class TestConfigDocuments:
         ("network", (NET_CONFIG, cli.SimulateExtras())),
         ("network", (NET_CONFIG, cli.SimulateExtras(replications=2, pair_level=1))),
         *[("cavity", (cli.CavityPoint(D=2, alpha=0.5, service=make_spec(kind, 1.4 if kind in ("lomax", "pareto") else None)),
-                      FixedPointControls(k_max=8, max_iter=0, seed=3))) for kind in KINDS],
+                      FixedPointControls(k_max=8, cycles_per_iter=2000, max_iter=1, seed=3))) for kind in KINDS],
     ], ids=["network", "network-pair-level", *KINDS])
     def test_sidecar_config_reads_back_to_its_dataclasses(self, tmp_path, mode, objs):
         doc = echo(mode, *objs)
@@ -236,14 +236,12 @@ class TestCavity:
 
     def test_non_convergence_still_exits_zero(self, tmp_path):
         out = tmp_path / "cav0"
-        rc = main(["cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential",
-                   "--k-max", "8", "--max-iter", "0", "--seed", "3", "--out", str(out)])
+        rc = main(["cavity", "--d-choices", "2", "--alpha", "0.5", "--service", "exponential", "--k-max", "8",
+                   "--cycles", "2000", "--max-iter", "1", "--tol", "1e-12", "--seed", "3", "--out", str(out)])
         assert rc == EXIT_OK
         report = json.loads((tmp_path / "cav0.json").read_text())
         assert report["converged"] is False
-        assert report["iterations"] == 0
-        # initial geometric environment is returned untouched
-        assert report["p"] == [0.5**k for k in range(9)]
+        assert report["iterations"] == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -295,7 +293,8 @@ class TestCavity:
         rows = read_tail_csv(tmp_path / "cav.csv")
         assert all(math.isfinite(x) for row in rows for x in row) and rows[1][2] > 0.0
 
-    @pytest.mark.parametrize("flag", [["--noise-rel", "-0.1"], ["--noise-rel", "nan"], ["--shards", "0"]])
+    @pytest.mark.parametrize("flag", [["--noise-rel", "-0.1"], ["--noise-rel", "nan"], ["--shards", "0"],
+                                      ["--max-iter", "0"]])
     def test_bad_controls_exit_before_any_work(self, tmp_path, flag):
         out = tmp_path / "sub" / "bad"
         assert main(CAV_ARGS + flag + ["--out", str(out)]) == EXIT_CONFIG
@@ -354,7 +353,6 @@ class TestWorkers:
         (SMALL_CAV_ARGS + ["--shards", "4"], "64", [4]),
         (SMALL_CAV_ARGS + ["--shards", "16", "--cycles", "3"], "64", [3]),  # three cycles make three shards
         (SMALL_CAV_ARGS + ["--shards", "1"], "64", []),
-        (SMALL_CAV_ARGS + ["--max-iter", "0"], "64", []),  # no iteration, no shard
         (SMALL_CAV_ARGS, "2", [2]),
     ])
     def test_no_more_processes_than_jobs(self, tmp_path, pools, args, workers, started):

@@ -157,8 +157,9 @@ class TestConfig:
 
 
 class TestRunNetwork:
-    def test_empty_arrival_process(self):
-        run = run_network(small_config(alpha=0.0, horizon=50.0))
+    @pytest.mark.parametrize("alpha", [0.0, 1e-320])  # at 1e-320 the gaps overflow to inf: no arrival
+    def test_empty_arrival_process(self, alpha):
+        run = run_network(small_config(alpha=alpha, horizon=50.0))
         assert run.arrivals == 0
         assert all(p == 0.0 for p in run.tail.p[1:])
         assert run.tail.p[0] == 1.0
