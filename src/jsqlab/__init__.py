@@ -7,12 +7,10 @@ decay, so simulation and prediction can be confronted on the same CSV schema.
 """
 
 from .analytic import (
-    AffineLimit,
     GrowthEstimate,
     QRoot,
     RecursionParams,
     RegimeReport,
-    affine_limit,
     boundary_beta,
     classify_regime,
     gamma_exponent,
@@ -46,7 +44,7 @@ from .network import (
     run_network,
     run_replication,
 )
-from .service_dist import KINDS, ServiceDistributionSpec, cdf, log_tail, make_sampler, make_spec, tail
+from .service_dist import KINDS, ServiceDistributionSpec, make_sampler, make_spec
 from .tails import TailEstimate, TailVector, read_tail_csv, write_tail_csv
 
 __version__ = "0.1.0"

@@ -89,10 +89,15 @@ def bisect(below, lo: float, hi: float) -> float:
 
 
 def _char_sum(D: int, ell: int, eta: float, x: float) -> float:
-    # h(x) = (D-1) * (x + ... + x**(ell-1) + eta*x**ell) - 1, Horner form
+    # h(x) = (D-1) * (x + ... + x**(ell-1) + eta*x**ell) - 1, Horner form. A
+    # step depends on acc alone, so once one leaves acc unchanged every later
+    # step would too: stopping there keeps every bit and bounds the cost in ell
     acc = eta * x
     for _ in range(ell - 1):
-        acc = (acc + 1.0) * x
+        nxt = (acc + 1.0) * x
+        if nxt == acc:
+            break
+        acc = nxt
     return (D - 1) * acc - 1.0
 
 
@@ -239,41 +244,6 @@ def classify_regime(D: int, beta: float) -> RegimeReport:
     if beta > b:
         return RegimeReport(D, beta, REGIME_DOUBLY, q_of_beta(D, beta))
     return RegimeReport(D, beta, REGIME_POWER, gamma_exponent(D, beta))
-
-
-@dataclass(frozen=True)
-class AffineLimit:
-    """Limit and optional iterates of R(n) = a*R(n-1) + b from R(0) = c."""
-
-    limit: float
-    monotone: str  # "increasing" | "decreasing" | "constant"
-    sequence: tuple | None = None
-
-
-def affine_limit(a: float, b: float, c: float, n: int | None = None) -> AffineLimit:
-    """Fixed point b/(1-a) of the affine recursion, with monotonicity flag.
-
-    The sequence increases iff it starts below the limit (and decreases iff
-    above); the gap contracts exactly geometrically, |R(n) - limit| =
-    a**n * |c - limit|.
-    """
-    if not (0.0 < a < 1.0):
-        raise ConfigError(f"contraction factor a must lie in (0, 1), got {a}")
-    limit = b / (1.0 - a)
-    if c < limit:
-        monotone = "increasing"
-    elif c > limit:
-        monotone = "decreasing"
-    else:
-        monotone = "constant"
-    seq = None
-    if n is not None:
-        check_int("n", n, 0)
-        vals = [float(c)]
-        for _ in range(n):
-            vals.append(a * vals[-1] + b)
-        seq = tuple(vals)
-    return AffineLimit(limit=limit, monotone=monotone, sequence=seq)
 
 
 def default_bound_prefix(D: int, beta: float, length: int = 30, scale: float = 1.0) -> tuple:

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the checks that raise ConfigError."""
 
+import sys
+
 
 class ConfigError(ValueError):
     """Invalid parameters or experiment configuration (CLI exit code 2)."""
@@ -18,10 +20,14 @@ def check_int(name: str, value, lo: int | None, hi: int | None = None) -> int:
 
     A bound of None is open. A float, even an integral one, is rejected: a
     count or level that arrives as a float fails later in ``range`` or an
-    index, or silently changes an exact power.
+    index, or silently changes an exact power. An int beyond the largest float
+    is rejected as ``check_number`` rejects it: counts such as D and N meet
+    floats in arithmetic.
     """
     if (isinstance(value, int) and not isinstance(value, bool)
             and (lo is None or value >= lo) and (hi is None or value <= hi)):
+        if abs(value) > sys.float_info.max:
+            raise ConfigError(f"{name} is too large for a float")
         return value
     bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
     raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")

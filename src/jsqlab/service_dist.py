@@ -15,7 +15,7 @@ derived from the tail exponent instead of being user supplied, so the
 normalization cannot be silently broken. The heavy-tailed default in studies
 is lomax, whose hazard rate is decreasing on all of [0, inf); plain pareto is
 offered too, but its hazard is not monotone at s_min (it jumps from 0 to
-beta/s_min), which callers can detect through ``decreasing_hazard``.
+beta/s_min).
 
 Sampling is by inverse transform of the survival function, so each draw is a
 deterministic function of a single uniform variate. A sampler draws only
@@ -26,10 +26,6 @@ numpy generators that both simulators pass. The network's holds its service
 stream alone and returns a block of it per call; the cavity kernel's holds
 one stream per shard of a group and returns one draw per lane in flight,
 each shard's lanes from its own stream.
-
-Closed forms are fixed on the whole half-line, not just for large s; this is
-strictly stronger than only prescribing the far tail and is relied on by the
-sampling and goodness-of-fit tests.
 """
 
 from __future__ import annotations
@@ -87,59 +83,10 @@ class ServiceDistributionSpec:
             raise AttributeError("s_min is defined for the pareto kind only")
         return (self.beta - 1.0) / self.beta
 
-    @property
-    def tail_constant(self) -> float | None:
-        """c such that tail(s) ~ c * s**(-beta); None for light-tailed kinds."""
-        if self.kind == "lomax":
-            return self.sigma**self.beta
-        if self.kind == "pareto":
-            return self.s_min**self.beta
-        return None
-
-    @property
-    def decreasing_hazard(self) -> bool:
-        """Whether the hazard rate is nonincreasing on all of [0, inf)."""
-        return self.kind in ("exponential", "lomax")
-
 
 def make_spec(kind: str, beta: float | None = None) -> ServiceDistributionSpec:
     """Build and validate a mean-1 service distribution."""
     return ServiceDistributionSpec(kind, beta)
-
-
-def log_tail(spec: ServiceDistributionSpec, s: float) -> float:
-    """log Pr(service > s); -inf where the survival is exactly zero.
-
-    Evaluated directly in log space, so deep-tail values far below the
-    smallest positive double remain meaningful.
-    """
-    if s < 0.0:
-        raise ConfigError(f"tail argument must be >= 0, got {s}")
-    k = spec.kind
-    if k == "exponential":
-        return -s
-    if k == "lomax":
-        return -spec.beta * math.log1p(s / spec.sigma)
-    if k == "pareto":
-        sm = spec.s_min
-        return 0.0 if s < sm else -spec.beta * math.log(s / sm)
-    if k == "deterministic":
-        return 0.0 if s < 1.0 else -math.inf
-    # bounded-uniform on [0, 2]
-    return math.log1p(-s / 2.0) if s < 2.0 else -math.inf
-
-
-def tail(spec: ServiceDistributionSpec, s: float) -> float:
-    """Pr(service > s), exact closed form per kind."""
-    lt = log_tail(spec, s)
-    if lt == 0.0:
-        return 1.0
-    return math.exp(lt) if lt > -746.0 else 0.0
-
-
-def cdf(spec: ServiceDistributionSpec, s: float) -> float:
-    """Pr(service <= s) = 1 - tail(s)."""
-    return 1.0 - tail(spec, s)
 
 
 class BlockDraws:

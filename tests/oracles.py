@@ -21,6 +21,19 @@ class FixedU(random.Random):
         return next(self._it)
 
 
+def survival(spec, s: float) -> float:
+    """Closed-form Pr(S > s) of a mean-1 service law: the samplers' reference."""
+    if spec.kind == "exponential":
+        return math.exp(-s)
+    if spec.kind == "lomax":
+        return (1.0 + s / spec.sigma) ** -spec.beta
+    if spec.kind == "pareto":
+        return 1.0 if s < spec.s_min else (s / spec.s_min) ** -spec.beta
+    if spec.kind == "deterministic":
+        return 1.0 if s < 1.0 else 0.0
+    return max(0.0, 1.0 - s / 2.0)  # bounded-uniform on [0, 2]
+
+
 def mc_arrival_oracle(env: TailVector, k: int, alpha: float, D: int, n: int, seed: int):
     """Monte Carlo of the comparison-state protocol: D-1 draws from the
     environment, admit when all are >= k, tie split reciprocally."""

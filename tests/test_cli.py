@@ -64,6 +64,8 @@ class TestConfigDocuments:
         ("cavity", CAV_DOC, "service", {"kind": "lomax", "beta": "1.4"}),
         ("simulate", CAV_DOC, "mode", "cavity"),  # a cavity document passed to simulate
         ("cavity", CAV_DOC, "service", {"kind": 3}),
+        pytest.param("cavity", CAV_DOC, "D", int("9" * 400), id="cavity-D-too-large-for-a-float"),
+        pytest.param("simulate", NET_DOC, "N", int("9" * 400), id="simulate-N-too-large-for-a-float"),
     ])
     def test_bad_document_exits_before_any_work(self, tmp_path, capsys, command, base, key, value):
         out = tmp_path / "sub" / "bad"
@@ -428,6 +430,7 @@ class TestPredict:
         ({"betas": "3"}, "betas"),
         ({"betas": [True]}, "betas"),
         ({"c1": 0.5}, "c1"),  # the tail constants are no longer a predict key
+        pytest.param({"D": int("9" * 400)}, "D", id="D-too-large-for-a-float"),
     ])
     def test_bad_document_exits_before_writing(self, tmp_path, capsys, extra, key):
         cfg = tmp_path / "analytic.json"

@@ -1,18 +1,16 @@
-"""Service distribution construction, tails, and sampling checks."""
+"""Service distribution construction and sampling checks."""
 
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from jsqlab import ConfigError, cdf, log_tail, make_sampler, make_spec, tail
+from jsqlab import ConfigError, make_sampler, make_spec
 from jsqlab.config import echo, read_config
 from jsqlab.service_dist import KINDS, BlockDraws, ServiceDistributionSpec
 
-from oracles import FixedU
+from oracles import FixedU, survival
 
 
 def all_specs():
@@ -59,16 +57,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_spec("weibull")
 
-    def test_tail_constant(self):
-        assert make_spec("lomax", 2.0).tail_constant == 1.0  # (beta-1)**beta
-        assert make_spec("pareto", 2.0).tail_constant == 0.25
-        assert make_spec("exponential").tail_constant is None
-
-    def test_hazard_flags(self):
-        assert make_spec("lomax", 2.0).decreasing_hazard
-        assert make_spec("exponential").decreasing_hazard
-        assert not make_spec("pareto", 2.0).decreasing_hazard
-
     def test_config_round_trip(self):
         for spec in all_specs():
             doc = echo("service", spec)
@@ -78,70 +66,6 @@ class TestConstruction:
     def test_config_rejects_extra_fields(self):
         with pytest.raises(ConfigError):
             read_config({"kind": "lomax", "beta": 2.0, "scale": 3}, {}, ServiceDistributionSpec)
-
-
-class TestTail:
-    def test_exponential_tail_at_zero(self):
-        assert tail(make_spec("exponential"), 0.0) == 1.0
-
-    def test_lomax_closed_form(self):
-        # (1 + s/sigma)**-beta at beta=2, sigma=1, s=1
-        assert tail(make_spec("lomax", 2.0), 1.0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_pareto_below_support(self):
-        assert tail(make_spec("pareto", 2.0), 0.4) == 1.0
-
-    def test_deterministic_step(self):
-        spec = make_spec("deterministic")
-        assert tail(spec, 0.999) == 1.0
-        assert tail(spec, 1.0) == 0.0
-
-    def test_bounded_uniform(self):
-        spec = make_spec("bounded-uniform")
-        assert tail(spec, 0.5) == pytest.approx(0.75)
-        assert tail(spec, 2.0) == 0.0
-        assert tail(spec, 5.0) == 0.0
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ConfigError):
-            tail(make_spec("exponential"), -0.1)
-
-    def test_power_law_exponent_numerically(self):
-        # log tail / log s -> -beta. At finite s the raw ratio carries a
-        # beta*|log scale|/log s offset, so the unit-scale instance (lomax
-        # beta=2, sigma=1) meets 0.05 at s=1e4 directly; in scale units the
-        # bound holds sharply for every parametrization.
-        ratio = log_tail(make_spec("lomax", 2.0), 1e4) / math.log(1e4)
-        assert abs(ratio + 2.0) < 0.05
-        for spec in (make_spec("lomax", 1.4), make_spec("lomax", 3.0),
-                     make_spec("pareto", 2.0), make_spec("pareto", 2.5)):
-            scale = spec.sigma if spec.kind == "lomax" else spec.s_min
-            ratio = log_tail(spec, 1e4) / math.log(1e4 / scale)
-            assert abs(ratio + spec.beta) < 0.05
-
-    def test_power_law_ratio_converges(self):
-        # the raw ratio approaches -beta as s grows (limit property)
-        for spec in (make_spec("lomax", 1.4), make_spec("pareto", 2.5)):
-            errs = [abs(log_tail(spec, s) / math.log(s) + spec.beta) for s in (1e2, 1e4, 1e8)]
-            assert errs[2] < errs[1] < errs[0]
-
-    def test_deep_tail_in_log_space(self):
-        # far below the smallest positive double the log form stays exact
-        lt = log_tail(make_spec("exponential"), 5000.0)
-        assert lt == -5000.0
-        assert tail(make_spec("exponential"), 5000.0) == 0.0
-
-    @given(
-        st.sampled_from(["exponential", "lomax", "pareto", "deterministic", "bounded-uniform"]),
-        st.floats(min_value=0.0, max_value=50.0),
-        st.floats(min_value=0.0, max_value=50.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_tail_monotone_bounded(self, kind, s1, s2):
-        spec = make_spec(kind, 2.5) if kind in ("lomax", "pareto") else make_spec(kind)
-        lo, hi = sorted((s1, s2))
-        t_lo, t_hi = tail(spec, lo), tail(spec, hi)
-        assert 0.0 <= t_hi <= t_lo <= 1.0
 
 
 class TestSampling:
@@ -203,12 +127,14 @@ class TestSampling:
         # and equals -log(u') for the complementary uniform u' = 1 - u
         assert s == pytest.approx(-math.log(0.7), abs=1e-15)
 
-    def test_lomax_inverse_transform(self):
-        spec = make_spec("lomax", 2.0)
-        u = 0.8
+    @pytest.mark.parametrize("u", [0.8, 1.0 - 1e-12])
+    @pytest.mark.parametrize("kind, beta", [("lomax", 2.0), ("lomax", 1.4), ("pareto", 2.5), ("pareto", 1.4)])
+    def test_power_law_inverse_transform(self, kind, beta, u):
+        # survival at the draw recovers the complementary uniform, out to the
+        # far tail: the draws follow the power law of exponent -beta
+        spec = make_spec(kind, beta)
         s = make_sampler(spec)(FixedU([u]))
-        # survival at the draw recovers the complementary uniform
-        assert tail(spec, s) == pytest.approx(1.0 - u, abs=1e-12)
+        assert survival(spec, s) == pytest.approx(1.0 - u, rel=1e-12)
 
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: f"{s.kind}-{s.beta}")
     def test_mean_one_monte_carlo(self, spec):
@@ -241,6 +167,6 @@ class TestSampling:
         # two-sided KS distance for the continuous kinds
         d = 0.0
         for i, x in enumerate(xs):
-            f = cdf(spec, x)
+            f = 1.0 - survival(spec, x)
             d = max(d, abs((i + 1) / n - f), abs(i / n - f))
         assert d < 0.01
